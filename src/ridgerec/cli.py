@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, validate_sample_set
+from ridgerec.core import SampleSet, validate_sample_set, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
     StudyConfig,
@@ -62,19 +60,6 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -84,7 +69,7 @@ def write_samples_csv(path: Path, s: SampleSet) -> None:
     lines = [",".join([f"x{j + 1}" for j in range(m)] + ["y"])]
     for row, y in zip(s.inputs, s.outputs):
         lines.append(",".join([_fmt(v) for v in row] + [_fmt(y)]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_samples_csv(path: Path) -> SampleSet:
@@ -112,21 +97,22 @@ def measure_from_spec(spec: dict) -> InputMeasure:
     """Build an InputMeasure from its JSON object form."""
     try:
         kind = spec["kind"]
-        log_transform = bool(spec.get("log_transform", False))
+        if spec.get("log_transform"):
+            raise UsageError("log_transform is not supported; take logs of the "
+                             "input columns before ingest")
         if kind == "standard-gaussian":
-            return InputMeasure.standard_gaussian(int(spec["dimension"]), log_transform)
+            return InputMeasure.standard_gaussian(int(spec["dimension"]))
         if kind == "gaussian":
-            return InputMeasure.gaussian(spec["mean"], spec["cov"], log_transform)
+            return InputMeasure.gaussian(spec["mean"], spec["cov"])
         if kind == "uniform-box":
-            return InputMeasure.uniform_box(spec["lower"], spec["upper"], log_transform)
+            return InputMeasure.uniform_box(spec["lower"], spec["upper"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad measure spec: {exc}") from exc
     raise UsageError(f"unknown measure kind {kind!r}")
 
 
 def measure_to_spec(measure: InputMeasure) -> dict:
-    spec: dict = {"kind": measure.kind, "dimension": measure.dimension,
-                  "log_transform": measure.log_transform}
+    spec: dict = {"kind": measure.kind, "dimension": measure.dimension}
     if measure.mean is not None:
         spec["mean"] = measure.mean.tolist()
     if measure.cov is not None:
@@ -208,7 +194,7 @@ def cmd_sample(args: argparse.Namespace, config: dict) -> int:
         "standardized": s.standardized,
         "measure": measure_to_spec(fn.measure),
     }
-    _write_atomic(outdir / "samples.json", _json_text(sidecar))
+    write_atomic(outdir / "samples.json", _json_text(sidecar))
     if args.verbose:
         print(f"wrote {outdir / 'samples.csv'} ({n} rows)")
     return 0
@@ -234,6 +220,9 @@ def _obtain_samples(args: argparse.Namespace, config: dict):
         s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
     elif "measure" in config:
         std = fit_standardizer(measure_from_spec(config["measure"]))
+        if std.dimension != s.dimension:
+            raise UsageError(f"measure spec has dimension {std.dimension}, but the "
+                             f"samples have {s.dimension} input columns")
         s = standardize(s, std)
     else:
         raise UsageError(
@@ -277,12 +266,12 @@ def cmd_estimate(args: argparse.Namespace, config: dict, method: str) -> int:
         "gaps": profile.gaps.tolist(),
         "relative_gaps": profile.relative.tolist(),
     }
-    _write_atomic(outdir / "estimate.json", _json_text(payload))
+    write_atomic(outdir / "estimate.json", _json_text(payload))
 
     W = est.spectrum.eigenvectors
     lines = [",".join(f"w{j + 1}" for j in range(W.shape[1]))]
     lines += [",".join(_fmt(v) for v in row) for row in W]
-    _write_atomic(outdir / "eigvecs.csv", "\n".join(lines) + "\n")
+    write_atomic(outdir / "eigvecs.csv", "\n".join(lines) + "\n")
 
     dims = min(2, n_components)
     plot = summary_plot_data(s, est, dims)
@@ -290,7 +279,7 @@ def cmd_estimate(args: argparse.Namespace, config: dict, method: str) -> int:
     lines = [header]
     for row, y in zip(np.atleast_2d(plot.projections), plot.outputs):
         lines.append(",".join([_fmt(v) for v in np.ravel(row)] + [_fmt(y)]))
-    _write_atomic(outdir / "summary_plot.csv", "\n".join(lines) + "\n")
+    write_atomic(outdir / "summary_plot.csv", "\n".join(lines) + "\n")
 
     if args.verbose:
         print(f"wrote estimate artifacts to {outdir}")
@@ -340,7 +329,7 @@ def cmd_converge(args: argparse.Namespace, config: dict) -> int:
         lines.append(
             f"{r.size},{r.trial},{r.n_r_min},{_fmt(r.eig_mse_norm)},{_fmt(r.subspace_dist)}"
         )
-    _write_atomic(outdir / "study.csv", "\n".join(lines) + "\n")
+    write_atomic(outdir / "study.csv", "\n".join(lines) + "\n")
 
     payload = {
         "config": {
@@ -365,7 +354,7 @@ def cmd_converge(args: argparse.Namespace, config: dict) -> int:
     # JSON object keys must be strings
     payload["mean_subspace_dist"] = {str(k): v for k, v in payload["mean_subspace_dist"].items()}
     payload["mean_eig_mse_norm"] = {str(k): v for k, v in payload["mean_eig_mse_norm"].items()}
-    _write_atomic(outdir / "study.json", _json_text(payload))
+    write_atomic(outdir / "study.json", _json_text(payload))
 
     if study.subspace_slope is None:
         print("warning: fewer than 3 sizes; slopes omitted from study.json")
@@ -391,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, help="master seed (default: 0)")
         p.add_argument("--verbose", action="store_true", help="print progress notes")
-        p.add_argument("--threads", type=int,
-                       help="worker hint; execution is currently serial either way")
 
     p_sample = sub.add_parser("sample", help="draw and evaluate a built-in model")
     common(p_sample)

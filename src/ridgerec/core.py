@@ -5,12 +5,16 @@ instances can be shared freely across threads.  Validation of sample sets
 is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time
 because a malformed spectrum is always a programming error.
+:func:`write_atomic` is the one file writer every artifact goes through.
 """
 
 from __future__ import annotations
 
+import os
+import uuid
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -32,6 +36,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+def write_atomic(path: Path, data: Union[str, bytes]) -> None:
+    """Write ``data`` (str as UTF-8) to ``path`` through a temp file and a rename.
+
+    Readers see the old file or the new one, never a partial write.  The
+    temp file is opened like any new file, so the result honours the umask.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

@@ -30,24 +30,13 @@ from ridgerec.spectral import decompose
 
 def sir_matrix(stats: SliceStats) -> np.ndarray:
     """Weighted covariance of the slice means: (1/N) sum_r N_r mu_r mu_r'."""
-    n = int(stats.counts.sum())
-    m = stats.dimension
-    out = np.zeros((m, m))
-    for n_r, mu in zip(stats.counts, stats.means):
-        out += n_r * np.outer(mu, mu)
-    return out / n
+    return (stats.means.T * stats.counts) @ stats.means / stats.counts.sum()
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Weighted squares of the covariance defects: (1/N) sum_r N_r (I - Sigma_r)^2."""
-    n = int(stats.counts.sum())
-    m = stats.dimension
-    eye = np.eye(m)
-    out = np.zeros((m, m))
-    for n_r, sigma in zip(stats.counts, stats.covariances):
-        d = eye - sigma
-        out += n_r * (d @ d)
-    return out / n
+    d = np.eye(stats.dimension) - stats.covariances
+    return np.tensordot(stats.counts, d @ d, axes=1) / stats.counts.sum()
 
 
 def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:

@@ -14,15 +14,15 @@ study configuration: rerunning a config reproduces results bit for bit.
 
 from __future__ import annotations
 
+import io
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum
+from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.measures import derive_seed, generator
 from ridgerec.slicing import SCHEMES
@@ -120,19 +120,6 @@ def _surrogate_cache_path(cfg: StudyConfig) -> Path:
     return base / name
 
 
-def _atomic_savez(path: Path, **arrays) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def truth_surrogate(cfg: StudyConfig) -> SymmetricSpectrum:
     """High-N estimate standing in for the population matrix, disk-cached.
 
@@ -151,12 +138,10 @@ def truth_surrogate(cfg: StudyConfig) -> SymmetricSpectrum:
     s = generate_samples(fn, cfg.truth_size, cfg.truth_seed)
     est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
     spec = est.spectrum
-    _atomic_savez(
-        path,
-        matrix=spec.matrix,
-        eigenvalues=spec.eigenvalues,
-        eigenvectors=spec.eigenvectors,
-    )
+    buf = io.BytesIO()
+    np.savez(buf, matrix=spec.matrix, eigenvalues=spec.eigenvalues,
+             eigenvectors=spec.eigenvectors)
+    write_atomic(path, buf.getvalue())
     return spec
 
 

@@ -62,10 +62,9 @@ class InputMeasure:
 
     Three kinds are supported: ``standard-gaussian`` (mean 0, identity
     covariance), ``gaussian`` (arbitrary mean and SPD covariance), and
-    ``uniform-box`` (independent uniforms on a box).  When
-    ``log_transform`` is set, draws are exponentiated componentwise after
-    sampling; the standardizer still refers to the pre-exponential space,
-    which is where slicing-based estimation should run for such models.
+    ``uniform-box`` (independent uniforms on a box).  Inputs that live on
+    a log scale are described in log space: take logs of the columns
+    before ingest, as the Hartmann model does inside its evaluator.
 
     Use the classmethod constructors rather than filling fields by hand.
     """
@@ -76,16 +75,15 @@ class InputMeasure:
     cov: Optional[np.ndarray] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    log_transform: bool = False
 
     @classmethod
-    def standard_gaussian(cls, dimension: int, log_transform: bool = False) -> "InputMeasure":
+    def standard_gaussian(cls, dimension: int) -> "InputMeasure":
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        return cls(kind="standard-gaussian", dimension=dimension, log_transform=log_transform)
+        return cls(kind="standard-gaussian", dimension=dimension)
 
     @classmethod
-    def gaussian(cls, mean, cov, log_transform: bool = False) -> "InputMeasure":
+    def gaussian(cls, mean, cov) -> "InputMeasure":
         mean = np.asarray(mean, dtype=np.float64).ravel()
         cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
         if cov.shape != (mean.size, mean.size):
@@ -97,10 +95,10 @@ class InputMeasure:
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance must be symmetric positive definite") from exc
         return cls(kind="gaussian", dimension=mean.size, mean=_freeze(mean),
-                   cov=_freeze(cov), log_transform=log_transform)
+                   cov=_freeze(cov))
 
     @classmethod
-    def uniform_box(cls, lower, upper, log_transform: bool = False) -> "InputMeasure":
+    def uniform_box(cls, lower, upper) -> "InputMeasure":
         lower = np.asarray(lower, dtype=np.float64).ravel()
         upper = np.asarray(upper, dtype=np.float64).ravel()
         if lower.size != upper.size:
@@ -108,7 +106,7 @@ class InputMeasure:
         if not np.all(lower < upper):
             raise ValueError("uniform box requires lower < upper componentwise")
         return cls(kind="uniform-box", dimension=lower.size, lower=_freeze(lower),
-                   upper=_freeze(upper), log_transform=log_transform)
+                   upper=_freeze(upper))
 
 
 def draw(measure: InputMeasure, n_samples: int, seed: int) -> np.ndarray:
@@ -131,8 +129,6 @@ def draw(measure: InputMeasure, n_samples: int, seed: int) -> np.ndarray:
         x = measure.lower + rng.random((n_samples, m)) * (measure.upper - measure.lower)
     else:  # pragma: no cover - constructors prevent this
         raise ValueError(f"unknown measure kind {measure.kind!r}")
-    if measure.log_transform:
-        x = np.exp(x)
     return x
 
 

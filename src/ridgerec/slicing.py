@@ -7,6 +7,11 @@ cuts the sorted order into nearly equal blocks, which maximizes the
 smallest per-slice count -- the quantity that governs how fast the slice
 moments converge.
 
+A partition is stored flat: a permutation ``order`` that lists the sample
+indices slice by slice, and ``offsets`` marking where each slice starts in
+it.  Equal-count slicing takes ``order`` from its argsort of the responses,
+fixed-width slicing from a stable argsort of the bin index.
+
 Conventions that make results exactly reproducible:
 
 * each slice is the closed interval between consecutive boundaries, and a
@@ -30,52 +35,59 @@ SCHEMES = ("fixed", "equal-count")
 
 @dataclass(frozen=True)
 class SlicePartition:
-    """R response intervals with per-slice sample index lists.
+    """R response intervals over one permutation of the samples.
 
-    ``boundaries`` holds R+1 ascending values covering [y_min, y_max];
-    ``membership[r]`` lists the sample indices whose response falls in
-    slice r.  ``degenerate`` flags the single-slice fallback for a
-    constant response, whose boundary pair collapses to [y, y].
+    ``boundaries`` holds R+1 ascending values covering [y_min, y_max].
+    ``order`` lists the N sample indices slice by slice, and ``offsets``
+    (R+1 entries rising strictly from 0 to N) marks where each slice
+    starts: slice r holds ``order[offsets[r]:offsets[r + 1]]``.  Both are
+    stored as read-only views, not copies.  ``degenerate`` flags the
+    single-slice fallback for a constant response, whose boundary pair
+    collapses to [y, y].
     """
 
     boundaries: np.ndarray
-    membership: tuple
+    order: np.ndarray
+    offsets: np.ndarray
     scheme: str
     degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", _freeze(self.boundaries))
-        frozen = []
-        for ix in self.membership:
-            ix = np.array(ix, dtype=np.intp, copy=True)
-            ix.setflags(write=False)
-            frozen.append(ix)
-        object.__setattr__(self, "membership", tuple(frozen))
+        for name in ("order", "offsets"):
+            view = np.asarray(getattr(self, name), dtype=np.intp).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        b = self.boundaries
-        if len(b) != len(self.membership) + 1:
+        b, off = self.boundaries, self.offsets
+        if len(off) < 2 or off[0] != 0 or off[-1] != len(self.order):
+            raise ValueError("offsets must run from 0 to the length of order")
+        if len(b) != len(off):
             raise ValueError("boundary count must be slice count plus one")
-        if self.degenerate:
-            ascending = np.all(np.diff(b) >= 0)
-        else:
-            ascending = np.all(np.diff(b) > 0)
-        if not ascending:
+        # Only the first interval may have zero width: its closed ends take
+        # precedence, so [y, y] still holds the responses equal to y.
+        if not (b[0] <= b[1] and np.all(np.diff(b[1:]) > 0)):
             raise ValueError("boundaries must be strictly ascending")
-        if any(len(ix) == 0 for ix in self.membership):
+        if np.any(np.diff(off) <= 0):
             raise ValueError("every slice must hold at least one sample")
 
     @property
+    def membership(self) -> tuple:
+        """Per-slice sample indices, as read-only views of ``order``."""
+        return tuple(np.split(self.order, self.offsets[1:-1]))
+
+    @property
     def n_slices(self) -> int:
-        return len(self.membership)
+        return len(self.offsets) - 1
 
     @property
     def counts(self) -> np.ndarray:
-        return np.array([len(ix) for ix in self.membership])
+        return np.diff(self.offsets)
 
     @property
     def n_samples(self) -> int:
-        return int(self.counts.sum())
+        return len(self.order)
 
     @property
     def min_count(self) -> int:
@@ -130,7 +142,8 @@ def _as_response_vector(outputs) -> np.ndarray:
 def _degenerate_partition(y: np.ndarray, scheme: str) -> SlicePartition:
     return SlicePartition(
         boundaries=np.array([y[0], y[0]]),
-        membership=(np.arange(y.size),),
+        order=np.arange(y.size),
+        offsets=np.array([0, y.size]),
         scheme=scheme,
         degenerate=True,
     )
@@ -154,9 +167,12 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     idx = np.searchsorted(bounds[1:-1], y, side="left")
     counts = np.bincount(idx, minlength=n_slices)
     nonempty = np.flatnonzero(counts)
-    final_bounds = np.concatenate(([bounds[0]], bounds[nonempty[1:]], [bounds[-1]]))
-    membership = tuple(np.flatnonzero(idx == r) for r in nonempty)
-    return SlicePartition(boundaries=final_bounds, membership=membership, scheme="fixed")
+    return SlicePartition(
+        boundaries=np.concatenate(([bounds[0]], bounds[nonempty[1:]], [bounds[-1]])),
+        order=np.argsort(idx, kind="stable"),
+        offsets=np.concatenate(([0], np.cumsum(counts[nonempty]))),
+        scheme="fixed",
+    )
 
 
 def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
@@ -192,57 +208,51 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
         cuts.append(c)
         prev = c
 
-    membership = []
-    bounds = [ys[0]]
-    prev = 0
-    for c in cuts + [n]:
-        membership.append(order[prev:c])
-        if c < n:
-            bounds.append((ys[c - 1] + ys[c]) / 2.0)
-        prev = c
-    bounds.append(ys[-1])
+    cuts = np.array(cuts, dtype=np.intp)
+    # A midpoint of two adjacent doubles can round up onto the upper value,
+    # which would then belong to the lower slice; cut at the lower value.
+    mids = (ys[cuts - 1] + ys[cuts]) / 2.0
+    mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
     return SlicePartition(
-        boundaries=np.array(bounds), membership=tuple(membership), scheme="equal-count"
+        boundaries=np.concatenate(([ys[0]], mids, [ys[-1]])),
+        order=order,
+        offsets=np.concatenate(([0], cuts, [n])),
+        scheme="equal-count",
     )
 
 
 def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     """Compute per-slice weights, means, and covariances for a sample set.
 
-    Raises if the partition does not cover exactly the sample set's rows,
-    which guards against pairing a partition with the wrong data.
+    Raises if the partition does not cover exactly the sample set's rows
+    or puts a response outside its slice's interval, which guards against
+    pairing a partition with the wrong data.
     """
     n = s.n_samples
+    order, starts = partition.order, partition.offsets[:-1]
     if partition.n_samples != n:
         raise ValueError("partition does not match sample set (different sample count)")
-    all_idx = np.concatenate(partition.membership)
-    flat = np.sort(all_idx)
-    if flat[0] != 0 or flat[-1] != n - 1 or len(flat) != n or np.any(np.diff(flat) != 1):
+    if order.min() < 0 or np.any(np.bincount(order, minlength=n) != 1):
         raise ValueError("partition does not match sample set (index coverage)")
-    b = partition.boundaries
-    for r, ix in enumerate(partition.membership):
-        yr = s.outputs[ix]
-        if yr.min() < b[r] or yr.max() > b[r + 1]:
-            raise ValueError("partition does not match sample set (responses out of slice)")
+    ys, b = s.outputs[order], partition.boundaries
+    lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
+    if np.any(lo < b[:-1]) or np.any(hi > b[1:]):
+        raise ValueError("partition does not match sample set (responses out of slice)")
 
     m = s.dimension
     counts = partition.counts
-    weights = counts / n
     means = np.empty((partition.n_slices, m))
     covs = np.zeros((partition.n_slices, m, m))
-    degenerate = []
     for r, ix in enumerate(partition.membership):
-        xs = s.inputs[ix]
+        xs = np.take(s.inputs, ix, axis=0)
         means[r] = xs.mean(axis=0)
         if len(ix) > 1:
             xc = xs - means[r]
             covs[r] = xc.T @ xc / (len(ix) - 1)
-        else:
-            degenerate.append(r)
     return SliceStats(
         counts=counts,
-        weights=weights,
+        weights=counts / n,
         means=means,
         covariances=covs,
-        degenerate_slices=tuple(degenerate),
+        degenerate_slices=tuple(np.flatnonzero(counts == 1).tolist()),
     )

@@ -1,6 +1,8 @@
 """Command-line artifacts, exit codes, and determinism."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -44,6 +46,17 @@ class TestSampleCommand:
                        "--seed", "3", "--out", str(out)) == 0
         assert (a_dir / "samples.csv").read_bytes() == (b_dir / "samples.csv").read_bytes()
         assert (a_dir / "samples.json").read_bytes() == (b_dir / "samples.json").read_bytes()
+
+    def test_artifacts_honour_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run("sample", "--function", "quad1", "--n", "3",
+                       "--out", str(tmp_path)) == 0
+        finally:
+            os.umask(old)
+        for name in ("samples.csv", "samples.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv", "samples.json"]
 
     def test_unknown_function_is_usage_error(self, tmp_path, capsys):
         assert run("sample", "--function", "cubic", "--n", "3",
@@ -135,6 +148,32 @@ class TestEstimateCommands:
                    "--slices", "4", "--out", str(tmp_path)) == 0
         report = read_json(tmp_path / "estimate.json")
         assert report["n_samples"] == 200
+
+    def test_measure_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(18)
+        csv = tmp_path / "raw.csv"
+        write_samples_csv(csv, SampleSet(inputs=rng.standard_normal((20, 5)),
+                                         outputs=rng.standard_normal(20)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "measure": {"kind": "standard-gaussian", "dimension": 3},
+        }))
+        assert run("sir", "--input", str(csv), "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+        assert "measure spec has dimension 3" in capsys.readouterr().err
+
+    def test_log_transform_measure_spec_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "raw.csv"
+        write_samples_csv(csv, SampleSet(inputs=[[0.1], [0.9]], outputs=[1.0, 2.0]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "measure": {"kind": "gaussian", "mean": [0.5], "cov": [[0.2]],
+                        "log_transform": True},
+        }))
+        assert run("sir", "--input", str(csv), "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+        assert "take logs of the input columns" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
 
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "config.json"

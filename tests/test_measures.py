@@ -50,11 +50,6 @@ class TestDraw:
         b = draw(measure, 10, seed=derive_seed(5, 1))
         assert not np.allclose(a, b)
 
-    def test_log_transform_positivity(self):
-        measure = InputMeasure.standard_gaussian(2, log_transform=True)
-        x = draw(measure, 500, seed=1)
-        assert np.all(x > 0)
-
     def test_rejects_non_spd_covariance(self):
         with pytest.raises(ValueError):
             InputMeasure.gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])

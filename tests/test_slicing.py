@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgerec.core import SampleSet
 from ridgerec.slicing import (
@@ -122,6 +124,16 @@ class TestEqualCountPartition:
             assert got == [sorted(e) for e in expected]
 
 
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+def test_adjacent_doubles_split_at_the_lower_value(partition):
+    """No double lies strictly between them, so the first slice collapses to [a, a]."""
+    a = -1e6
+    y = np.array([np.nextafter(a, 0.0), a])
+    p = partition(y, 2)
+    np.testing.assert_array_equal(p.boundaries, [a, a, y[0]])
+    assert [ix.tolist() for ix in p.membership] == [[1], [0]]
+
+
 class TestPartitionInvariants:
     @staticmethod
     def _random_partitions(rng, count=30):
@@ -171,7 +183,8 @@ class TestPartitionInvariants:
         with pytest.raises(ValueError):
             SlicePartition(
                 boundaries=np.array([0.0, 1.0, 2.0]),
-                membership=(np.array([0, 1]), np.array([], dtype=np.intp)),
+                order=np.array([0, 1]),
+                offsets=np.array([0, 2, 2]),
                 scheme="fixed",
             )
 
@@ -179,9 +192,88 @@ class TestPartitionInvariants:
         with pytest.raises(ValueError):
             SlicePartition(
                 boundaries=np.array([1.0, 0.0]),
-                membership=(np.array([0]),),
+                order=np.array([0]),
+                offsets=np.array([0, 1]),
                 scheme="fixed",
             )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_partition_rejects_nan_boundaries(self):
+        """A response range that overflows makes NaN cuts, which must not pass."""
+        with pytest.raises(ValueError, match="ascending"):
+            partition_fixed([-1.5e308, 1.5e308], 2)
+
+
+@st.composite
+def responses_and_slice_count(draw, ties):
+    """A response vector, tied on a coarse integer grid or all distinct, and R <= N."""
+    n = draw(st.integers(1, 80))
+    if ties:
+        values = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    else:
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        values = st.lists(finite, min_size=n, max_size=n, unique=True)
+    return np.array(draw(values), dtype=float), draw(st.integers(1, n))
+
+
+ANY_RESPONSES = st.booleans().flatmap(responses_and_slice_count)
+
+
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+class TestLayoutProperties:
+    """The flat layout's invariants over random responses, with and without ties."""
+
+    @staticmethod
+    def _slices(y, p):
+        return [y[p.order[a:b]] for a, b in zip(p.offsets[:-1], p.offsets[1:])]
+
+    @settings(deadline=None)
+    @given(case=ANY_RESPONSES)
+    def test_order_is_a_permutation(self, partition, case):
+        y, r = case
+        p = partition(y, r)
+        np.testing.assert_array_equal(np.sort(p.order), np.arange(len(y)))
+
+    @settings(deadline=None)
+    @given(case=ANY_RESPONSES)
+    def test_offsets_strictly_ascend_from_zero_to_n(self, partition, case):
+        y, r = case
+        p = partition(y, r)
+        assert p.offsets[0] == 0 and p.offsets[-1] == len(y)
+        assert np.all(np.diff(p.offsets) > 0)
+        assert 1 <= p.n_slices <= r
+
+    @settings(deadline=None)
+    @given(case=ANY_RESPONSES)
+    def test_responses_lie_in_their_closed_intervals(self, partition, case):
+        y, r = case
+        p = partition(y, r)
+        for k, ys in enumerate(self._slices(y, p)):
+            assert p.boundaries[k] <= ys.min() and ys.max() <= p.boundaries[k + 1]
+
+    @settings(deadline=None)
+    @given(case=ANY_RESPONSES)
+    def test_membership_matches_interval_scan(self, partition, case):
+        y, r = case
+        p = partition(y, r)
+        expected = [sorted(e) for e in slice_membership(y, p.boundaries)]
+        assert [sorted(ix.tolist()) for ix in p.membership] == expected
+
+    @settings(deadline=None)
+    @given(case=responses_and_slice_count(ties=True))
+    def test_no_tie_run_straddles_a_cut(self, partition, case):
+        y, r = case
+        slices = self._slices(y, partition(y, r))
+        for lower, upper in zip(slices[:-1], slices[1:]):
+            assert lower.max() < upper.min()
+
+
+@settings(deadline=None)
+@given(case=responses_and_slice_count(ties=False))
+def test_equal_count_balanced_without_ties(case):
+    y, r = case
+    counts = partition_equal_count(y, r).counts
+    assert counts.max() - counts.min() <= 1
 
 
 class TestDefaultSliceCount:
@@ -290,6 +382,19 @@ class TestSliceStats:
         np.testing.assert_array_equal(a.counts, b.counts)
         for sa, sb in zip(a.covariances, b.covariances):
             np.testing.assert_allclose(sa, sb, atol=1e-13)
+
+    @pytest.mark.parametrize("order, match", [
+        ([0, 0, 2], "index coverage"),
+        ([-1, 1, 2], "index coverage"),
+        ([0, 1, 3], "index coverage"),
+        ([2, 1, 0], "responses out of slice"),
+    ])
+    def test_partition_not_matching_the_samples_rejected(self, order, match):
+        s = SampleSet(inputs=np.ones((3, 1)), outputs=[1.0, 2.0, 3.0], standardized=True)
+        p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), order=np.array(order),
+                           offsets=np.array([0, 1, 3]), scheme="fixed")
+        with pytest.raises(ValueError, match=match):
+            slice_stats(s, p)
 
     def test_partition_from_other_outputs_rejected(self):
         s = SampleSet(
