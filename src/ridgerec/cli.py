@@ -15,11 +15,14 @@ Subcommands
     (size, trial)) and ``study.json`` (fitted slopes, surrogate
     spectrum, config echo).
 
-All options can come from a JSON config file (``--config``); explicit
-flags override file values.  Every run is deterministic given its config,
-and files are written atomically (temp file + rename).  Floats are
-serialized with 17 significant digits so CSV round-trips reproduce the
-binary values exactly.
+Options can also come from a JSON config file (``--config``).  Its keys
+are the flags' dest names (``slice_scheme``, ``truth_size``, ...); each
+value is turned into that flag's tokens and parsed, with the same types
+and choices, ahead of the command-line flags, so flags win.  ``measure``
+(``sir``/``save`` only) is the one key without a flag.  Every run is
+deterministic given its config, and files are written atomically (temp
+file + rename).  Floats are serialized with 17 significant digits so CSV
+round-trips reproduce the binary values exactly.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
 error.
@@ -28,6 +31,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -38,12 +43,13 @@ import numpy as np
 from ridgerec.core import SampleSet, validate_sample_set, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
+    DEFAULT_TRUTH_SEED,
     StudyConfig,
     run_convergence,
     summary_plot_data,
 )
 from ridgerec.measures import InputMeasure, fit_standardizer, standardize
-from ridgerec.slicing import default_slice_count
+from ridgerec.slicing import SCHEMES, default_slice_count
 from ridgerec.spectral import gap_profile
 from ridgerec.testfns import TEST_FUNCTION_NAMES, generate_samples, get_test_function
 
@@ -56,20 +62,25 @@ class UsageError(Exception):
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _names(prefix: str, k: int) -> list:
+    return [f"{prefix}{j + 1}" for j in range(k)]
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
+    """Header line plus one row per table row, floats to 17 significant digits."""
+    buf = io.BytesIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
+    write_atomic(path, buf.getvalue())
+
+
 def write_samples_csv(path: Path, s: SampleSet) -> None:
-    m = s.dimension
-    lines = [",".join([f"x{j + 1}" for j in range(m)] + ["y"])]
-    for row, y in zip(s.inputs, s.outputs):
-        lines.append(",".join([_fmt(v) for v in row] + [_fmt(y)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, _names("x", s.dimension) + ["y"],
+               np.column_stack([s.inputs, s.outputs]))
 
 
 def read_samples_csv(path: Path) -> SampleSet:
@@ -83,8 +94,7 @@ def read_samples_csv(path: Path) -> SampleSet:
         raise UsageError(f"malformed samples file {path}: {exc}") from exc
     cols = header.split(",")
     m = len(cols) - 1
-    expected = [f"x{j + 1}" for j in range(m)] + ["y"]
-    if m < 1 or cols != expected:
+    if m < 1 or cols != _names("x", m) + ["y"]:
         raise UsageError(
             f"samples file must have header x1,...,xm,y (got {header!r})"
         )
@@ -124,8 +134,234 @@ def measure_to_spec(measure: InputMeasure) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Subcommands
 # ---------------------------------------------------------------------------
+
+def _require(value, what: str):
+    if value is None:
+        raise UsageError(f"missing required option: {what}")
+    return value
+
+
+def _check_dim(dim: int, m: int) -> None:
+    if dim > m:
+        raise UsageError(f"--dim {dim}: the requested dimension exceeds input dimension {m}")
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    fn = get_test_function(_require(args.function, "--function"))
+    n = _require(args.n, "--n")
+    s = generate_samples(fn, n, args.seed, standardized=not args.raw)
+    write_samples_csv(args.out / "samples.csv", s)
+    sidecar = {
+        "function": fn.name,
+        "n": n,
+        "m": fn.dimension,
+        "seed": args.seed,
+        "standardized": s.standardized,
+        "measure": measure_to_spec(fn.measure),
+    }
+    write_atomic(args.out / "samples.json", _json_text(sidecar))
+    if args.verbose:
+        print(f"wrote {args.out / 'samples.csv'} ({n} rows)")
+    return 0
+
+
+def _obtain_samples(args: argparse.Namespace):
+    """Either generate from a built-in model or ingest a CSV."""
+    if (args.input is None) == (args.function is None):
+        raise UsageError("exactly one of --function or --input is required")
+    if args.function is not None:
+        fn = get_test_function(args.function)
+        return generate_samples(fn, _require(args.n, "--n"), args.seed), args.function
+
+    s = read_samples_csv(Path(args.input))
+    violations = validate_sample_set(s)
+    if violations:
+        raise UsageError("ingested samples are invalid: " + "; ".join(violations))
+    if args.assume_standardized:
+        s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
+    elif args.measure is not None:
+        std = fit_standardizer(measure_from_spec(args.measure))
+        if std.dimension != s.dimension:
+            raise UsageError(f"measure spec has dimension {std.dimension}, but the "
+                             f"samples have {s.dimension} input columns")
+        s = standardize(s, std)
+    else:
+        raise UsageError(
+            "ingested samples need either --assume-standardized or a "
+            "\"measure\" spec in the config file to standardize against"
+        )
+    return s, args.input
+
+
+def cmd_estimate(args: argparse.Namespace) -> int:
+    s, source = _obtain_samples(args)
+    m = s.dimension
+    _check_dim(args.dim, m)
+    n_slices = args.slices or default_slice_count(s.n_samples)
+
+    est = estimate(s, n_slices, args.slice_scheme, args.command, args.dim)
+    profile = gap_profile(est.spectrum)
+    stats_counts = est.partition.counts
+
+    payload = {
+        "method": args.command,
+        "source": source,
+        "n_samples": s.n_samples,
+        "m": m,
+        "n_components": args.dim,
+        "slice_scheme": est.partition.scheme,
+        "slices_requested": n_slices,
+        "slices_realized": est.partition.n_slices,
+        "slice_counts": stats_counts.tolist(),
+        "slice_weights": (stats_counts / s.n_samples).tolist(),
+        "n_r_min": est.partition.min_count,
+        "degenerate_partition": est.partition.degenerate,
+        "eigenvalues": est.spectrum.eigenvalues.tolist(),
+        "gaps": profile.gaps.tolist(),
+        "relative_gaps": profile.relative.tolist(),
+    }
+    write_atomic(args.out / "estimate.json", _json_text(payload))
+
+    W = est.spectrum.eigenvectors
+    _write_csv(args.out / "eigvecs.csv", _names("w", W.shape[1]), W)
+
+    dims = min(2, args.dim)
+    plot = summary_plot_data(s, est, dims)
+    _write_csv(args.out / "summary_plot.csv", _names("z", dims) + ["y"],
+               np.column_stack([plot.projections, plot.outputs]))
+
+    if args.verbose:
+        print(f"wrote estimate artifacts to {args.out}")
+    return 0
+
+
+def cmd_converge(args: argparse.Namespace) -> int:
+    function = _require(args.function, "--function")
+    sizes = _require(args.sizes, "--sizes")
+    _check_dim(args.dim, get_test_function(function).dimension)
+    try:
+        cfg = StudyConfig(
+            function=function,
+            method=args.method,
+            sizes=sizes,
+            trials=args.trials,
+            seed=args.seed,
+            n_components=args.dim,
+            n_slices=args.slices or default_slice_count(min(sizes)),
+            scheme=args.slice_scheme,
+            truth_size=args.truth_size or 10 * max(sizes),
+            truth_seed=args.truth_seed,
+            cache_dir=args.cache_dir or str(args.out / "cache"),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    study = run_convergence(cfg)
+
+    _write_csv(args.out / "study.csv", ["N", "trial", "N_r_min", "eig_mse_norm", "subspace_dist"],
+               np.array([[r.size, r.trial, r.n_r_min, r.eig_mse_norm, r.subspace_dist]
+                         for r in study.records]))
+    config = dataclasses.asdict(cfg)
+    del config["cache_dir"]  # a path, so reruns under another --out stay identical
+    payload = {
+        "config": config,
+        "subspace_slope": study.subspace_slope,
+        "eig_mse_slope": study.eig_mse_slope,
+        "distance_trend_inversions": study.distance_trend_inversions,
+        # JSON object keys must be strings
+        "mean_subspace_dist": {str(k): v for k, v in study.mean_by_size("subspace_dist").items()},
+        "mean_eig_mse_norm": {str(k): v for k, v in study.mean_by_size("eig_mse_norm").items()},
+        "truth_eigenvalues": study.truth.eigenvalues.tolist(),
+    }
+    write_atomic(args.out / "study.json", _json_text(payload))
+
+    if study.subspace_slope is None:
+        print("warning: fewer than 3 sizes; slopes omitted from study.json")
+    if args.verbose:
+        print(f"wrote study artifacts to {args.out}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Parsing: flags and config files
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _sizes(text: str) -> tuple:
+    return tuple(_positive_int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _function_name(text: str) -> str:
+    if text not in TEST_FUNCTION_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown function {text!r}; built-ins are {', '.join(TEST_FUNCTION_NAMES)}"
+        )
+    return text
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one place each option's flag, type, choices and default are declared.
+
+    Dests are derived from the flags, so a config key ``truth_size`` is
+    the flag ``--truth-size``.
+    """
+    parser = _Parser(
+        prog="ridgerec",
+        description="Ridge recovery via sliced inverse regression (sir) and "
+        "sliced average variance estimation (save).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_sample = sub.add_parser("sample", help="draw and evaluate a built-in model")
+    p_est = [sub.add_parser(name, help=f"run {name} on generated or ingested samples")
+             for name in ("sir", "save")]
+    p_conv = sub.add_parser("converge", help="run a convergence study")
+
+    for p in [p_sample, *p_est, p_conv]:
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out", type=Path, default=".",
+                       help="output directory (default: current directory)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
+        p.add_argument("--verbose", action="store_true", help="print progress notes")
+        p.add_argument("--function", type=_function_name,
+                       help=f"built-in model: {', '.join(TEST_FUNCTION_NAMES)}")
+    for p in [p_sample, *p_est]:
+        p.add_argument("--n", type=_positive_int, help="number of samples to generate")
+    p_sample.add_argument("--raw", action="store_true",
+                          help="write raw measure draws instead of standardized inputs")
+    for p in p_est:
+        p.add_argument("--input", help="ingest a samples.csv instead of generating")
+        p.add_argument("--assume-standardized", action="store_true",
+                       help="treat ingested inputs as already whitened")
+        p.set_defaults(measure=None)  # config-file only: the spec to whiten against
+    for p in [*p_est, p_conv]:
+        p.add_argument("--slices", type=_positive_int, help="slice count (default: sqrt rule)")
+        p.add_argument("--slice-scheme", choices=SCHEMES, default="equal-count")
+        p.add_argument("--dim", type=_positive_int, default=1,
+                       help="requested subspace dimension")
+    p_conv.add_argument("--method", choices=("sir", "save"), default="sir")
+    p_conv.add_argument("--sizes", type=_sizes, help="comma-separated ascending sample sizes")
+    p_conv.add_argument("--trials", type=_positive_int, default=10)
+    p_conv.add_argument("--truth-size", type=_positive_int,
+                        help="surrogate sample size (default: 10x the largest size)")
+    p_conv.add_argument("--truth-seed", type=int, default=DEFAULT_TRUTH_SEED)
+    p_conv.add_argument("--cache-dir", help="surrogate cache (default: OUT/cache)")
+    return parser
+
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
@@ -142,294 +378,47 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def _config_tokens(config: dict, args: argparse.Namespace) -> list:
+    """Turn config entries into flag tokens for the subcommand's parser.
 
-
-def _require(value, what: str):
-    if value is None:
-        raise UsageError(f"missing required option: {what}")
-    return value
-
-
-def _parse_sizes(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad sizes list {value!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def _resolve_function(name: str):
-    if name not in TEST_FUNCTION_NAMES:
-        raise UsageError(
-            f"unknown function {name!r}; built-ins are {', '.join(TEST_FUNCTION_NAMES)}"
-        )
-    return get_test_function(name)
-
-
-def cmd_sample(args: argparse.Namespace, config: dict) -> int:
-    fn = _resolve_function(_require(_merge(args, config, "function"), "--function"))
-    n = int(_require(_merge(args, config, "n"), "--n"))
-    seed = int(_merge(args, config, "seed", 0))
-    raw = bool(_merge(args, config, "raw", False))
-    outdir = Path(_merge(args, config, "out", "."))
-
-    s = generate_samples(fn, n, seed, standardized=not raw)
-    write_samples_csv(outdir / "samples.csv", s)
-    sidecar = {
-        "function": fn.name,
-        "n": n,
-        "m": fn.dimension,
-        "seed": seed,
-        "standardized": s.standardized,
-        "measure": measure_to_spec(fn.measure),
-    }
-    write_atomic(outdir / "samples.json", _json_text(sidecar))
-    if args.verbose:
-        print(f"wrote {outdir / 'samples.csv'} ({n} rows)")
-    return 0
-
-
-def _obtain_samples(args: argparse.Namespace, config: dict):
-    """Either generate from a built-in model or ingest a CSV."""
-    ingest = _merge(args, config, "input")
-    function = _merge(args, config, "function")
-    if (ingest is None) == (function is None):
-        raise UsageError("exactly one of --function or --input is required")
-    if function is not None:
-        fn = _resolve_function(function)
-        n = int(_require(_merge(args, config, "n"), "--n"))
-        seed = int(_merge(args, config, "seed", 0))
-        return generate_samples(fn, n, seed), function
-
-    s = read_samples_csv(Path(ingest))
-    violations = validate_sample_set(s)
-    if violations:
-        raise UsageError("ingested samples are invalid: " + "; ".join(violations))
-    if bool(_merge(args, config, "assume_standardized", False)):
-        s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
-    elif "measure" in config:
-        std = fit_standardizer(measure_from_spec(config["measure"]))
-        if std.dimension != s.dimension:
-            raise UsageError(f"measure spec has dimension {std.dimension}, but the "
-                             f"samples have {s.dimension} input columns")
-        s = standardize(s, std)
-    else:
-        raise UsageError(
-            "ingested samples need either --assume-standardized or a "
-            "\"measure\" spec in the config file to standardize against"
-        )
-    return s, str(ingest)
-
-
-def cmd_estimate(args: argparse.Namespace, config: dict, method: str) -> int:
-    s, source = _obtain_samples(args, config)
-    m = s.dimension
-    n_components = int(_merge(args, config, "dim", 1))
-    if n_components > m:
-        raise UsageError("n exceeds input dimension")
-    if n_components < 1:
-        raise UsageError("dimension must be at least 1")
-    n_slices = _merge(args, config, "slices")
-    n_slices = int(n_slices) if n_slices is not None else default_slice_count(s.n_samples)
-    scheme = _merge(args, config, "slice_scheme", "equal-count")
-    outdir = Path(_merge(args, config, "out", "."))
-
-    est = estimate(s, n_slices, scheme, method, n_components)
-    profile = gap_profile(est.spectrum)
-    stats_counts = est.partition.counts
-
-    payload = {
-        "method": method,
-        "source": source,
-        "n_samples": s.n_samples,
-        "m": m,
-        "n_components": n_components,
-        "slice_scheme": est.partition.scheme,
-        "slices_requested": n_slices,
-        "slices_realized": est.partition.n_slices,
-        "slice_counts": stats_counts.tolist(),
-        "slice_weights": (stats_counts / s.n_samples).tolist(),
-        "n_r_min": est.partition.min_count,
-        "degenerate_partition": est.partition.degenerate,
-        "eigenvalues": est.spectrum.eigenvalues.tolist(),
-        "gaps": profile.gaps.tolist(),
-        "relative_gaps": profile.relative.tolist(),
-    }
-    write_atomic(outdir / "estimate.json", _json_text(payload))
-
-    W = est.spectrum.eigenvectors
-    lines = [",".join(f"w{j + 1}" for j in range(W.shape[1]))]
-    lines += [",".join(_fmt(v) for v in row) for row in W]
-    write_atomic(outdir / "eigvecs.csv", "\n".join(lines) + "\n")
-
-    dims = min(2, n_components)
-    plot = summary_plot_data(s, est, dims)
-    header = ",".join([f"z{j + 1}" for j in range(dims)] + ["y"])
-    lines = [header]
-    for row, y in zip(np.atleast_2d(plot.projections), plot.outputs):
-        lines.append(",".join([_fmt(v) for v in np.ravel(row)] + [_fmt(y)]))
-    write_atomic(outdir / "summary_plot.csv", "\n".join(lines) + "\n")
-
-    if args.verbose:
-        print(f"wrote estimate artifacts to {outdir}")
-    return 0
-
-
-def cmd_converge(args: argparse.Namespace, config: dict) -> int:
-    function = _require(_merge(args, config, "function"), "--function")
-    if function not in TEST_FUNCTION_NAMES:
-        raise UsageError(f"unknown function {function!r}")
-    method = _merge(args, config, "method", "sir")
-    if method not in ("sir", "save"):
-        raise UsageError(f"unknown method {method!r}")
-    sizes = _parse_sizes(_require(_merge(args, config, "sizes"), "--sizes"))
-    trials = int(_merge(args, config, "trials", 10))
-    seed = int(_merge(args, config, "seed", 0))
-    n_components = int(_merge(args, config, "dim", 1))
-    n_slices = _merge(args, config, "slices")
-    n_slices = int(n_slices) if n_slices is not None else default_slice_count(min(sizes))
-    scheme = _merge(args, config, "slice_scheme", "equal-count")
-    truth_size = int(_merge(args, config, "truth_size", 10 * max(sizes)))
-    truth_seed = int(_merge(args, config, "truth_seed", 777))
-    outdir = Path(_merge(args, config, "out", "."))
-    cache_dir = _merge(args, config, "cache_dir", str(outdir / "cache"))
-
-    try:
-        cfg = StudyConfig(
-            function=function,
-            method=method,
-            sizes=sizes,
-            trials=trials,
-            seed=seed,
-            n_components=n_components,
-            n_slices=n_slices,
-            scheme=scheme,
-            truth_size=truth_size,
-            truth_seed=truth_seed,
-            cache_dir=cache_dir,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    study = run_convergence(cfg)
-
-    lines = ["N,trial,N_r_min,eig_mse_norm,subspace_dist"]
-    for r in study.records:
-        lines.append(
-            f"{r.size},{r.trial},{r.n_r_min},{_fmt(r.eig_mse_norm)},{_fmt(r.subspace_dist)}"
-        )
-    write_atomic(outdir / "study.csv", "\n".join(lines) + "\n")
-
-    payload = {
-        "config": {
-            "function": function,
-            "method": method,
-            "sizes": list(sizes),
-            "trials": trials,
-            "seed": seed,
-            "n_components": n_components,
-            "slices": n_slices,
-            "slice_scheme": scheme,
-            "truth_size": truth_size,
-            "truth_seed": truth_seed,
-        },
-        "subspace_slope": study.subspace_slope,
-        "eig_mse_slope": study.eig_mse_slope,
-        "distance_trend_inversions": study.distance_trend_inversions,
-        "mean_subspace_dist": study.mean_by_size("subspace_dist"),
-        "mean_eig_mse_norm": study.mean_by_size("eig_mse_norm"),
-        "truth_eigenvalues": study.truth.eigenvalues.tolist(),
-    }
-    # JSON object keys must be strings
-    payload["mean_subspace_dist"] = {str(k): v for k, v in payload["mean_subspace_dist"].items()}
-    payload["mean_eig_mse_norm"] = {str(k): v for k, v in payload["mean_eig_mse_norm"].items()}
-    write_atomic(outdir / "study.json", _json_text(payload))
-
-    if study.subspace_slope is None:
-        print("warning: fewer than 3 sizes; slopes omitted from study.json")
-    if args.verbose:
-        print(f"wrote study artifacts to {outdir}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ridgerec",
-        description="Ridge recovery via sliced inverse regression (sir) and "
-        "sliced average variance estimation (save).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, help="master seed (default: 0)")
-        p.add_argument("--verbose", action="store_true", help="print progress notes")
-
-    p_sample = sub.add_parser("sample", help="draw and evaluate a built-in model")
-    common(p_sample)
-    p_sample.add_argument("--function", help="quad1, quad3, or hartmann")
-    p_sample.add_argument("--n", type=int, help="number of samples")
-    p_sample.add_argument("--raw", action="store_true", default=None,
-                          help="write raw measure draws instead of standardized inputs")
-
-    for name in ("sir", "save"):
-        p_est = sub.add_parser(name, help=f"run {name} on generated or ingested samples")
-        common(p_est)
-        p_est.add_argument("--function", help="built-in model to sample from")
-        p_est.add_argument("--n", type=int, help="number of samples to generate")
-        p_est.add_argument("--input", help="ingest a samples.csv instead of generating")
-        p_est.add_argument("--assume-standardized", dest="assume_standardized",
-                           action="store_true", default=None,
-                           help="treat ingested inputs as already whitened")
-        p_est.add_argument("--slices", type=int, help="slice count (default: sqrt rule)")
-        p_est.add_argument("--slice-scheme", dest="slice_scheme",
-                           choices=("fixed", "equal-count"))
-        p_est.add_argument("--dim", type=int, help="requested subspace dimension")
-
-    p_conv = sub.add_parser("converge", help="run a convergence study")
-    common(p_conv)
-    p_conv.add_argument("--function")
-    p_conv.add_argument("--method", choices=("sir", "save"))
-    p_conv.add_argument("--sizes", help="comma-separated ascending sample sizes")
-    p_conv.add_argument("--trials", type=int)
-    p_conv.add_argument("--slices", type=int)
-    p_conv.add_argument("--slice-scheme", dest="slice_scheme",
-                        choices=("fixed", "equal-count"))
-    p_conv.add_argument("--dim", type=int)
-    p_conv.add_argument("--truth-size", dest="truth_size", type=int)
-    p_conv.add_argument("--truth-seed", dest="truth_seed", type=int)
-    p_conv.add_argument("--cache-dir", dest="cache_dir")
-    return parser
+    ``args`` is the command line parsed alone; its attributes are the
+    subcommand's dests, so they are the valid keys.
+    """
+    keys = sorted(set(vars(args)) - {"command", "config", "verbose"})
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}; "
+                         f"valid keys are {', '.join(keys)}")
+    tokens = []
+    for key, value in config.items():
+        if key == "measure":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # a store_true switch
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float, list)) and not isinstance(value, bool):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+        else:
+            raise UsageError(f"config key {key!r} has a value of the wrong kind: {value!r}")
+    return tokens
 
 
 def main(argv: Optional[list] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = _load_config(args.config)
+        args = parser.parse_args(argv[:1] + _config_tokens(config, args) + argv[1:])
         if args.command == "sample":
-            return cmd_sample(args, config)
+            return cmd_sample(args)
         if args.command in ("sir", "save"):
-            return cmd_estimate(args, config, args.command)
-        if args.command == "converge":
-            return cmd_converge(args, config)
-        raise UsageError(f"unknown command {args.command!r}")  # pragma: no cover
+            args.measure = config.get("measure")
+            return cmd_estimate(args)
+        return cmd_converge(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -86,6 +86,12 @@ def estimate(
         raise ValueError(f"unknown method {method!r}; expected 'sir' or 'save'")
 
     partition = make_partition(s.outputs, n_slices, scheme)
+    if method == "save" and partition.min_count < 2:
+        # A one-sample slice has zero covariance and adds a full-weight I term.
+        raise ValueError(
+            f"SAVE needs at least 2 samples per slice, but the smallest slice has "
+            f"{partition.min_count}; use fewer slices"
+        )
     stats = slice_stats(s, partition)
     spectrum = decompose(matrix_of(stats))
     return SdrEstimate(

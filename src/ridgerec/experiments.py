@@ -104,11 +104,12 @@ class ConvergenceStudy:
 
     def mean_by_size(self, field: str) -> dict:
         """Per-size trial means of one record field."""
-        out: dict = {}
-        for n in self.config.sizes:
-            vals = [getattr(r, field) for r in self.records if r.size == n]
-            out[n] = float(np.mean(vals))
-        return out
+        return _mean_by_size(self.records, self.config.sizes, field)
+
+
+def _mean_by_size(records, sizes, field: str) -> dict:
+    return {n: float(np.mean([getattr(r, field) for r in records if r.size == n]))
+            for n in sizes}
 
 
 def _surrogate_cache_path(cfg: StudyConfig) -> Path:
@@ -184,13 +185,8 @@ def run_convergence(cfg: StudyConfig) -> ConvergenceStudy:
                 )
             )
 
-    mean_dist = []
-    mean_mse = []
-    for n in cfg.sizes:
-        dd = [r.subspace_dist for r in records if r.size == n]
-        mm = [r.eig_mse_norm for r in records if r.size == n]
-        mean_dist.append(np.mean(dd))
-        mean_mse.append(np.mean(mm))
+    mean_dist = list(_mean_by_size(records, cfg.sizes, "subspace_dist").values())
+    mean_mse = list(_mean_by_size(records, cfg.sizes, "eig_mse_norm").values())
     inversions = int(np.sum(np.diff(mean_dist) > 0))
 
     if len(cfg.sizes) >= 3:

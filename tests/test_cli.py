@@ -3,10 +3,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridgerec
 from ridgerec.cli import main, read_samples_csv, write_samples_csv
 from ridgerec.core import SampleSet
 
@@ -77,6 +81,20 @@ class TestCsvRoundTrip:
         back = read_samples_csv(path)
         np.testing.assert_array_equal(back.inputs, s.inputs)
         np.testing.assert_array_equal(back.outputs, s.outputs)
+
+    SPECIAL = [-0.0, 5e-324, 1e-310, 1e300, -1e300, np.nextafter(1.0, 2.0)]
+
+    def test_special_values_round_trip(self, tmp_path):
+        """Signed zero, subnormals and extremes survive, in the %.17g text."""
+        x = np.array(self.SPECIAL).reshape(3, 2)
+        s = SampleSet(inputs=x, outputs=np.array(self.SPECIAL[::-1][:3]))
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, s)
+        rows = [",".join(f"{v:.17g}" for v in [*r, y]) for r, y in zip(x, s.outputs)]
+        assert path.read_text() == "x1,x2,y\n" + "".join(r + "\n" for r in rows)
+        back = read_samples_csv(path)
+        assert back.inputs.tobytes() == s.inputs.tobytes()
+        assert back.outputs.tobytes() == s.outputs.tobytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -188,12 +206,85 @@ class TestEstimateCommands:
         assert report["slices_requested"] == 5
         assert not (tmp_path / "from_config").exists()
 
+    def test_save_single_sample_slices_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
+                   "--out", str(out)) == 1
+        assert "smallest slice has 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_both_sources_rejected(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         write_samples_csv(csv, SampleSet(inputs=[[1.0]], outputs=[1.0]))
         assert run("sir", "--function", "quad1", "--input", str(csv),
                    "--out", str(tmp_path)) == 2
         assert "exactly one" in capsys.readouterr().err
+
+
+def _mean_five_csv(tmp_path):
+    rng = np.random.default_rng(19)
+    x = rng.normal(loc=5.0, size=(200, 2))
+    csv = tmp_path / "raw.csv"
+    write_samples_csv(csv, SampleSet(inputs=x, outputs=x[:, 0] ** 2))
+    return ["--input", str(csv)]
+
+
+class TestConfigThroughParser:
+    """Config values and flags go through one parser: every bad one exits 2."""
+
+    @pytest.mark.parametrize("command, config, extra, named", [
+        ("sir", {"assume_standardized": "false"}, "mean-five", "assume_standardized"),
+        ("sample", {"raw": "no"}, ["--function", "quad1", "--n", "10"], "raw"),
+        ("sir", {"slice-scheme": "fixed", "slcies": 7}, ["--function", "quad1", "--n", "500"],
+         "slcies"),
+        ("sir", {"slice_scheme": "quantile"}, ["--function", "quad1", "--n", "500"],
+         "--slice-scheme"),
+        ("sir", {"n": "5e2"}, ["--function", "quad1"], "--n"),
+        ("sir", {}, ["--function", "quad1", "--n", "500", "--slices", "0"], "--slices"),
+        ("converge", {}, ["--function", "quad1", "--sizes", "100,200", "--dim", "0"], "--dim"),
+    ], ids=["bool-as-text", "bool-as-word", "misspelt-keys", "unknown-scheme", "n-as-text",
+            "zero-slices", "zero-dim"])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, command, config, extra, named):
+        if extra == "mean-five":
+            extra = _mean_five_csv(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(path), *extra, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_false_keeps_default(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"raw": False}))
+        assert run("sample", "--config", str(path), "--function", "hartmann", "--n", "5",
+                   "--out", str(tmp_path)) == 0
+        assert read_json(tmp_path / "samples.json")["standardized"] is True
+
+    def test_measure_key_only_for_estimators(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"measure": {"kind": "standard-gaussian", "dimension": 1}}))
+        assert run("sample", "--config", str(path), "--function", "quad1", "--n", "5",
+                   "--out", str(tmp_path / "out")) == 2
+        assert "measure" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_console_script_merges_config_and_argv(self, tmp_path):
+        """main() with argv=None reads sys.argv; the flag beats the config value."""
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"function": "quad1", "n": 50, "seed": 1, "slices": 3,
+                                    "out": str(out)}))
+        env = dict(os.environ, PYTHONPATH=str(Path(ridgerec.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridgerec.cli", "sir", "--config", str(path),
+             "--slices", "5"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = read_json(out / "estimate.json")
+        assert report["slices_requested"] == 5
+        assert report["n_samples"] == 50
 
 
 class TestConvergeCommand:
@@ -234,3 +325,10 @@ class TestConvergeCommand:
         assert run("converge", "--function", "quad1", "--method", "sir",
                    "--sizes", "400,200", "--truth-size", "4000",
                    "--out", str(tmp_path)) == 2
+
+    def test_dimension_overflow_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("converge", "--function", "quad1", "--sizes", "100,200",
+                   "--dim", "11", "--out", str(out)) == 2
+        assert "n exceeds input dimension" in capsys.readouterr().err
+        assert not out.exists()

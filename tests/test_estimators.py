@@ -194,3 +194,13 @@ class TestEstimatePipeline:
         )
         est = estimate(s, 2, "equal-count", "sir", 1)
         np.testing.assert_allclose(est.spectrum.eigenvalues, [4.5, 2.0])
+
+    def test_save_refuses_single_sample_slices(self):
+        """A one-sample slice has zero covariance; SAVE refuses, SIR accepts."""
+        rng = generator(derive_seed(8, 5))
+        x = rng.standard_normal((60, 3))
+        s = standardized_set(x, x[:, 0] ** 2)
+        with pytest.raises(ValueError, match="smallest slice has 1; use fewer slices"):
+            estimate(s, 40, "equal-count", "save", 1)
+        assert estimate(s, 40, "equal-count", "sir", 1).partition.min_count == 1
+        assert estimate(s, 30, "equal-count", "save", 1).partition.min_count == 2
