@@ -167,19 +167,31 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse(args: argparse.Namespace, source: str, *dests: str) -> None:
+    """Exit 2 naming each of ``dests`` set away from its default: it does not apply to ``source``."""
+    defaults = build_parser().parse_args([args.command])
+    names = [dest if dest == "measure" else "--" + dest.replace("_", "-")
+             for dest in dests if getattr(args, dest) != getattr(defaults, dest)]
+    if names:
+        raise UsageError(f"{' and '.join(names)} cannot be used with {source}")
+
+
 def _obtain_samples(args: argparse.Namespace):
     """Either generate from a built-in model or ingest a CSV."""
     if (args.input is None) == (args.function is None):
         raise UsageError("exactly one of --function or --input is required")
     if args.function is not None:
+        _refuse(args, "--function", "assume_standardized", "measure")
         fn = get_test_function(args.function)
         return generate_samples(fn, _require(args.n, "--n"), args.seed), args.function
 
+    _refuse(args, "--input", "n", "seed")
     s = read_samples_csv(Path(args.input))
     violations = validate_sample_set(s)
     if violations:
         raise UsageError("ingested samples are invalid: " + "; ".join(violations))
     if args.assume_standardized:
+        _refuse(args, "--assume-standardized", "measure")
         s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
     elif args.measure is not None:
         std = fit_standardizer(measure_from_spec(args.measure))
@@ -253,20 +265,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
             scheme=args.slice_scheme,
             truth_size=args.truth_size or 10 * max(sizes),
             truth_seed=args.truth_seed,
-            cache_dir=args.cache_dir or str(args.out / "cache"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    study = run_convergence(cfg)
+    study = run_convergence(cfg, args.cache_dir or args.out / "cache")
 
     _write_csv(args.out / "study.csv", ["N", "trial", "N_r_min", "eig_mse_norm", "subspace_dist"],
                np.array([[r.size, r.trial, r.n_r_min, r.eig_mse_norm, r.subspace_dist]
                          for r in study.records]))
-    config = dataclasses.asdict(cfg)
-    del config["cache_dir"]  # a path, so reruns under another --out stay identical
     payload = {
-        "config": config,
+        "config": dataclasses.asdict(cfg),
         "subspace_slope": study.subspace_slope,
         "eig_mse_slope": study.eig_mse_slope,
         "distance_trend_inversions": study.distance_trend_inversions,

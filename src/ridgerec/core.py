@@ -14,7 +14,7 @@ import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -71,15 +71,11 @@ class SampleSet:
         True when the inputs were produced by the whitening map of the
         measures module.  This is a provenance flag, not a statistical
         test of the sample moments.
-    seed : int, optional
-        Generation seed, recorded when the set was drawn rather than
-        ingested.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
     standardized: bool = False
-    seed: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", _freeze(np.atleast_2d(self.inputs)))

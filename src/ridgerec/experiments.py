@@ -2,8 +2,8 @@
 
 The population estimator matrices are not available in closed form, so a
 very-high-N run (the "truth surrogate") stands in for them.  Surrogates
-are cached on disk keyed by everything that determines them, and the
-cache write is atomic so concurrent readers never observe a partial file.
+are cached on disk under a key that is stored in the file and checked on
+load, and the cache write is atomic so readers never observe a partial file.
 
 A convergence study runs T independent trials at each sample size with
 seeds derived from a master seed, records the normalized eigenvalue error
@@ -14,14 +14,16 @@ study configuration: rerunning a config reproduces results bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import io
-import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ridgerec import __version__
 from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.measures import derive_seed, generator
@@ -31,11 +33,8 @@ from ridgerec.testfns import generate_samples, get_test_function
 
 DEFAULT_TRUTH_SIZE = 1_000_000
 DEFAULT_TRUTH_SEED = 777
-
-
-def default_cache_dir() -> Path:
-    """Cache location for truth surrogates; override with RIDGEREC_CACHE."""
-    return Path(os.environ.get("RIDGEREC_CACHE", "~/.cache/ridgerec")).expanduser()
+#: Layout of a cached surrogate file, part of its key.
+SURROGATE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class StudyConfig:
     scheme: str = "equal-count"
     truth_size: int = DEFAULT_TRUTH_SIZE
     truth_seed: int = DEFAULT_TRUTH_SEED
-    cache_dir: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
@@ -112,35 +110,38 @@ def _mean_by_size(records, sizes, field: str) -> dict:
             for n in sizes}
 
 
-def _surrogate_cache_path(cfg: StudyConfig) -> Path:
-    base = Path(cfg.cache_dir) if cfg.cache_dir is not None else default_cache_dir()
-    name = (
-        f"truth-{cfg.function}-{cfg.method}-R{cfg.n_slices}-{cfg.scheme}"
-        f"-N{cfg.truth_size}-seed{cfg.truth_seed}.npz"
-    )
-    return base / name
+def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
+    """High-N estimate standing in for the population matrix, cached in ``cache_dir``.
 
-
-def truth_surrogate(cfg: StudyConfig) -> SymmetricSpectrum:
-    """High-N estimate standing in for the population matrix, disk-cached.
-
-    The cache key covers (function, method, slices, scheme, surrogate
-    size, surrogate seed); a hit reproduces the spectrum bit for bit.
+    The file is named by a key that it also stores: a digest of the file
+    format, the package version, the study fields that shape the surrogate
+    (not sizes, trials, seed or n_components, so such studies share one
+    build) and the model's standardized inputs and responses at a fixed
+    probe, which cover its coefficients, constants and measure.  A file
+    that is unreadable, holds another key or fails the spectrum's checks
+    is rebuilt; a hit reproduces the spectrum bit for bit.
     """
-    path = _surrogate_cache_path(cfg)
-    if path.exists():
-        with np.load(path) as data:
-            return SymmetricSpectrum(
-                matrix=data["matrix"],
-                eigenvalues=data["eigenvalues"],
-                eigenvectors=data["eigenvectors"],
-            )
     fn = get_test_function(cfg.function)
+    probe = generate_samples(fn, 64, 0)
+    fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
+    key = hashlib.sha256(repr((SURROGATE_FORMAT, __version__, fields)).encode()
+                         + probe.inputs.tobytes() + probe.outputs.tobytes()).hexdigest()
+    path = Path(cache_dir) / f"truth-{key}.npz"
+    try:
+        with np.load(path) as data:
+            if str(data["key"]) == key:
+                return SymmetricSpectrum(
+                    matrix=data["matrix"],
+                    eigenvalues=data["eigenvalues"],
+                    eigenvectors=data["eigenvectors"],
+                )
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        pass  # missing or unreadable: rebuild
     s = generate_samples(fn, cfg.truth_size, cfg.truth_seed)
     est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
     spec = est.spectrum
     buf = io.BytesIO()
-    np.savez(buf, matrix=spec.matrix, eigenvalues=spec.eigenvalues,
+    np.savez(buf, key=key, matrix=spec.matrix, eigenvalues=spec.eigenvalues,
              eigenvectors=spec.eigenvectors)
     write_atomic(path, buf.getvalue())
     return spec
@@ -156,14 +157,14 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 
 
-def run_convergence(cfg: StudyConfig) -> ConvergenceStudy:
+def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
     """Run the full study: per-size trials, error records, fitted slopes.
 
     Trial seeds derive from (master seed, size index, trial index), so
     the study is reproducible and trials are independent.  Any trial
     failure propagates; no record is silently skipped.
     """
-    truth = truth_surrogate(cfg)
+    truth = truth_surrogate(cfg, cache_dir)
     truth_sub = Subspace(truth.eigenvectors[:, : cfg.n_components])
     fn = get_test_function(cfg.function)
 

@@ -188,7 +188,7 @@ def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
             f"standardizer has m={std.dimension}"
         )
     z = (s.inputs - std.mean) @ std.whitening.T
-    return SampleSet(inputs=z, outputs=s.outputs, standardized=True, seed=s.seed)
+    return SampleSet(inputs=z, outputs=s.outputs, standardized=True)
 
 
 def unstandardize(s: SampleSet, std: Standardizer) -> SampleSet:
@@ -196,7 +196,7 @@ def unstandardize(s: SampleSet, std: Standardizer) -> SampleSet:
     if s.dimension != std.dimension:
         raise ValueError("dimension mismatch")
     x = s.inputs @ std.inverse.T + std.mean
-    return SampleSet(inputs=x, outputs=s.outputs, standardized=False, seed=s.seed)
+    return SampleSet(inputs=x, outputs=s.outputs, standardized=False)
 
 
 def pushforward_direction(std: Standardizer, w_standardized: np.ndarray) -> np.ndarray:

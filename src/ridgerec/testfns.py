@@ -23,7 +23,7 @@ downstream golden numbers are reproducible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,7 +69,6 @@ class TestFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     measure: InputMeasure
     true_subspace: Optional[Subspace] = None
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +186,7 @@ _HARTMANN_GENERATORS = np.array([
 ])
 
 
-def hartmann_true_subspace(
-    params: HartmannParams = HartmannParams(),
-    standardizer: Optional[Standardizer] = None,
-) -> Subspace:
+def hartmann_true_subspace(standardizer: Optional[Standardizer] = None) -> Subspace:
     """The analytic 2-D central subspace of the log-input Hartmann model.
 
     With no standardizer the basis lives in raw log coordinates.  Passing
@@ -198,7 +194,6 @@ def hartmann_true_subspace(
     in whitened coordinates (the generators map through the transpose of
     the Cholesky factor, matching how linear functionals transform).
     """
-    del params  # the subspace is parameter-free; accepted for interface symmetry
     G = _HARTMANN_GENERATORS
     if standardizer is not None:
         G = standardizer.inverse.T @ G
@@ -220,7 +215,6 @@ def get_test_function(name: str) -> TestFunction:
             evaluator=functools.partial(quad1, b),
             measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
             true_subspace=Subspace(b.reshape(-1, 1)),
-            params={"b": b},
         )
     if name == "quad3":
         B, b = canonical_quad3_coefficients()
@@ -230,7 +224,6 @@ def get_test_function(name: str) -> TestFunction:
             evaluator=functools.partial(quad3, B, b),
             measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
             true_subspace=Subspace(orthonormal_basis(np.column_stack([B, b]))),
-            params={"B": B, "b": b},
         )
     if name == "hartmann":
         params = HartmannParams()
@@ -243,8 +236,7 @@ def get_test_function(name: str) -> TestFunction:
             dimension=5,
             evaluator=log_input_field,
             measure=InputMeasure.gaussian(HARTMANN_LOG_MEAN, HARTMANN_LOG_COV),
-            true_subspace=hartmann_true_subspace(params),
-            params={"constants": params},
+            true_subspace=hartmann_true_subspace(),
         )
     raise ValueError(f"unknown test function {name!r}; expected quad1, quad3, or hartmann")
 
@@ -262,7 +254,7 @@ def generate_samples(
     """
     x = draw(fn.measure, n_samples, seed)
     y = fn.evaluator(x)
-    s = SampleSet(inputs=x, outputs=y, standardized=False, seed=seed)
+    s = SampleSet(inputs=x, outputs=y, standardized=False)
     if standardized:
         s = standardize(s, fit_standardizer(fn.measure))
     return s

@@ -121,8 +121,7 @@ def test_criterion_4_convergence_slopes(truth_cache):
             scheme="equal-count",
             truth_size=1_000_000,
             truth_seed=777,
-            cache_dir=truth_cache,
-        ))
+        ), truth_cache)
         sub, mse = study.subspace_slope, study.eig_mse_slope
         checks.append((
             f"{method} (R={n_slices}): subspace slope {sub:.3f} in [-0.65, -0.35]",
@@ -179,10 +178,9 @@ def test_criterion_6_gap_dependence(truth_cache):
         scheme="equal-count",
         truth_size=200_000,
         truth_seed=777,
-        cache_dir=truth_cache,
     )
-    study_n1 = run_convergence(StudyConfig(n_components=1, **common))
-    study_n3 = run_convergence(StudyConfig(n_components=3, **common))
+    study_n1 = run_convergence(StudyConfig(n_components=1, **common), truth_cache)
+    study_n3 = run_convergence(StudyConfig(n_components=3, **common), truth_cache)
     result = gap_dependence_check(study_n1, study_n3)
     d1, d3 = result.mean_dist_large_gap, result.mean_dist_small_gap
     report(6, "gap dependence of the subspace error", [

@@ -5,10 +5,14 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ridgerec
 from ridgerec.cli import main, read_samples_csv, write_samples_csv
@@ -22,6 +26,9 @@ def run(*argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+STANDARD_2D = {"measure": {"kind": "standard-gaussian", "dimension": 2}}
 
 
 class TestSampleCommand:
@@ -93,6 +100,19 @@ class TestCsvRoundTrip:
         rows = [",".join(f"{v:.17g}" for v in [*r, y]) for r, y in zip(x, s.outputs)]
         assert path.read_text() == "x1,x2,y\n" + "".join(r + "\n" for r in rows)
         back = read_samples_csv(path)
+        assert back.inputs.tobytes() == s.inputs.tobytes()
+        assert back.outputs.tobytes() == s.outputs.tobytes()
+
+    @given(data=st.data())
+    def test_any_finite_table_round_trips_bit_for_bit(self, data):
+        n, m = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        s = SampleSet(inputs=data.draw(arrays(np.float64, (n, m), elements=finite)),
+                      outputs=data.draw(arrays(np.float64, n, elements=finite)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            write_samples_csv(path, s)
+            back = read_samples_csv(path)
         assert back.inputs.tobytes() == s.inputs.tobytes()
         assert back.outputs.tobytes() == s.outputs.tobytes()
 
@@ -211,6 +231,27 @@ class TestEstimateCommands:
         assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
                    "--out", str(out)) == 1
         assert "smallest slice has 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, source, flags, config, refusal", [
+        ("sir", "input", ["--assume-standardized", "--n", "3", "--seed", "9"], {},
+         "--n and --seed cannot be used with --input"),
+        ("save", "input", ["--seed", "9"], STANDARD_2D, "--seed cannot be used with --input"),
+        ("sir", "function", ["--n", "100", "--assume-standardized"], {},
+         "--assume-standardized cannot be used with --function"),
+        ("save", "function", ["--n", "100"], STANDARD_2D, "measure cannot be used with --function"),
+        ("sir", "input", ["--assume-standardized"], STANDARD_2D,
+         "measure cannot be used with --assume-standardized"),
+    ], ids=["n-seed-with-input", "seed-with-input", "assume-with-function",
+            "measure-with-function", "measure-with-assume"])
+    def test_option_foreign_to_the_source_refused(self, tmp_path, capsys, command, source,
+                                                  flags, config, refusal):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        origin = _mean_five_csv(tmp_path) if source == "input" else ["--function", "quad1"]
+        out = tmp_path / "out"
+        assert run(command, *origin, *flags, "--config", str(path), "--out", str(out)) == 2
+        assert refusal in capsys.readouterr().err
         assert not out.exists()
 
     def test_both_sources_rejected(self, tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from ridgerec.core import SampleSet
+from ridgerec.core import PSD_TOL, SampleSet
 from ridgerec.estimators import estimate, make_partition, save_matrix, sir_matrix
 from ridgerec.measures import derive_seed, generator
-from ridgerec.slicing import partition_equal_count, slice_stats
+from ridgerec.slicing import SCHEMES, partition_equal_count, slice_stats
 from ridgerec.spectral import orthonormal_basis, subspace_distance
 
 from oracles import save_matrix_oracle, sir_matrix_oracle
@@ -204,3 +206,62 @@ class TestEstimatePipeline:
             estimate(s, 40, "equal-count", "save", 1)
         assert estimate(s, 40, "equal-count", "sir", 1).partition.min_count == 1
         assert estimate(s, 30, "equal-count", "save", 1).partition.min_count == 2
+
+
+MATRICES = {"sir": sir_matrix, "save": save_matrix}
+
+#: Strictly increasing maps.  In floating point a map can still merge
+#: nearby responses, so the test discards samples where it does.
+MONOTONE_MAPS = {
+    "affine": lambda y: 3.0 * y - 7.0,
+    "cube": lambda y: y**3,
+    "exp": np.exp,
+    "arctan": np.arctan,
+}
+
+
+@st.composite
+def sliced_samples(draw):
+    """Gaussian inputs of random shape, responses with ties and near-ties, and R <= N."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 6))
+    y = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, m)), np.array(y), draw(st.integers(1, n)), rng
+
+
+class TestEstimatorProperties:
+    """The hand-picked invariants above, over random shapes and responses."""
+
+    @given(case=sliced_samples(), method=st.sampled_from(sorted(MATRICES)),
+           scheme=st.sampled_from(SCHEMES))
+    def test_matrix_is_psd(self, case, method, scheme):
+        x, y, r, _ = case
+        stats = slice_stats(standardized_set(x, y), make_partition(y, r, scheme))
+        assert np.linalg.eigvalsh(MATRICES[method](stats))[0] >= PSD_TOL
+
+    @given(case=sliced_samples(), method=st.sampled_from(sorted(MATRICES)),
+           scheme=st.sampled_from(SCHEMES))
+    def test_rotated_inputs_rotate_the_matrix(self, case, method, scheme):
+        """Inputs z Q' give Q M Q'."""
+        x, y, r, rng = case
+        Q = orthonormal_basis(rng.standard_normal((x.shape[1],) * 2))
+        p = make_partition(y, r, scheme)
+        base = MATRICES[method](slice_stats(standardized_set(x, y), p))
+        rotated = MATRICES[method](slice_stats(standardized_set(x @ Q.T, y), p))
+        scale = max(1.0, np.max(np.abs(base)))
+        np.testing.assert_allclose(rotated, Q @ base @ Q.T, rtol=0, atol=1e-10 * scale)
+
+    @given(case=sliced_samples(), method=st.sampled_from(sorted(MATRICES)),
+           name=st.sampled_from(sorted(MONOTONE_MAPS)))
+    def test_monotone_response_map_changes_nothing(self, case, method, name):
+        """Equal-count slices depend on the responses' order and ties only."""
+        x, y, r, _ = case
+        g = MONOTONE_MAPS[name]
+        assume(np.all(np.diff(g(np.unique(y))) > 0))
+        p, q = partition_equal_count(y, r), partition_equal_count(g(y), r)
+        np.testing.assert_array_equal(q.order, p.order)
+        np.testing.assert_array_equal(q.offsets, p.offsets)
+        a = MATRICES[method](slice_stats(standardized_set(x, y), p))
+        b = MATRICES[method](slice_stats(standardized_set(x, g(y)), q))
+        assert a.tobytes() == b.tobytes()

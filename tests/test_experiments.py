@@ -1,8 +1,12 @@
 """Convergence studies, truth surrogates, bootstrap, summary plots."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
+from ridgerec import experiments
 from ridgerec.core import SampleSet
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
@@ -20,7 +24,7 @@ from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
 
-def small_config(tmp_path, **overrides):
+def small_config(**overrides):
     base = dict(
         function="quad1",
         method="save",
@@ -32,28 +36,45 @@ def small_config(tmp_path, **overrides):
         scheme="equal-count",
         truth_size=4_000,
         truth_seed=777,
-        cache_dir=str(tmp_path),
     )
     base.update(overrides)
     return StudyConfig(**base)
 
 
+def only_surrogate(cache_dir):
+    (path,) = cache_dir.glob("truth-*.npz")
+    return path
+
+
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """Count the estimates the experiments module runs from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate", counted)
+    return calls
+
+
 class TestStudyConfig:
-    def test_rejects_unsorted_sizes(self, tmp_path):
+    def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
-            small_config(tmp_path, sizes=(400, 200))
+            small_config(sizes=(400, 200))
 
-    def test_rejects_small_truth(self, tmp_path):
+    def test_rejects_small_truth(self):
         with pytest.raises(ValueError, match="10x"):
-            small_config(tmp_path, truth_size=1_000)
+            small_config(truth_size=1_000)
 
-    def test_rejects_zero_trials(self, tmp_path):
+    def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            small_config(tmp_path, trials=0)
+            small_config(trials=0)
 
-    def test_rejects_unknown_scheme(self, tmp_path):
+    def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
-            small_config(tmp_path, scheme="quantile")
+            small_config(scheme="quantile")
 
 
 class TestErrorMetrics:
@@ -75,26 +96,55 @@ class TestErrorMetrics:
 
 class TestTruthSurrogate:
     def test_cache_round_trip_bit_identical(self, tmp_path):
-        cfg = small_config(tmp_path)
-        first = truth_surrogate(cfg)
-        assert (tmp_path / (
-            "truth-quad1-save-R5-equal-count-N4000-seed777.npz"
-        )).exists()
-        second = truth_surrogate(cfg)
+        cfg = small_config()
+        first = truth_surrogate(cfg, tmp_path)
+        assert re.fullmatch(r"truth-[0-9a-f]{64}\.npz", only_surrogate(tmp_path).name)
+        second = truth_surrogate(cfg, tmp_path)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    def test_hit_does_not_estimate(self, tmp_path, estimate_calls):
+        """Studies that differ only in sizes, trials, seed and n share one build."""
+        first = truth_surrogate(small_config(), tmp_path)
+        assert len(estimate_calls) == 1
+        other = small_config(sizes=(300,), trials=1, seed=6, n_components=2)
+        second = truth_surrogate(other, tmp_path)
+        assert len(estimate_calls) == 1
+        assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
+
+    def test_truncated_file_is_rebuilt(self, tmp_path, estimate_calls):
+        clean = run_convergence(small_config(), tmp_path / "clean")
+        path = only_surrogate(tmp_path / "clean")
+        path.write_bytes(path.read_bytes()[:100])
+        rebuilt = run_convergence(small_config(), tmp_path / "clean")
+        assert rebuilt.records == clean.records
+        assert rebuilt.truth.eigenvalues.tobytes() == clean.truth.eigenvalues.tobytes()
+        calls = len(estimate_calls)
+        truth_surrogate(small_config(), tmp_path / "clean")
+        assert len(estimate_calls) == calls  # the rebuilt file is a hit
+
+    def test_file_holding_another_key_is_rebuilt(self, tmp_path, estimate_calls):
+        """Another model's surrogate under this model's file name is not trusted."""
+        cfg = small_config(function="quad3")
+        clean = truth_surrogate(cfg, tmp_path / "quad3")
+        truth_surrogate(small_config(), tmp_path / "quad1")
+        shutil.copy(only_surrogate(tmp_path / "quad1"), only_surrogate(tmp_path / "quad3"))
+        calls = len(estimate_calls)
+        spec = truth_surrogate(cfg, tmp_path / "quad3")
+        assert len(estimate_calls) == calls + 1
+        assert spec.eigenvalues.tobytes() == clean.eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == clean.eigenvectors.tobytes()
 
     def test_quad1_save_gap_structure(self, tmp_path):
         """At surrogate scale the SAVE spectrum is rank-one dominated."""
         cfg = small_config(
-            tmp_path, sizes=(1_000,), truth_size=1_000_000, n_slices=20
+            sizes=(1_000,), truth_size=1_000_000, n_slices=20
         )
-        spec = truth_surrogate(cfg)
+        spec = truth_surrogate(cfg, tmp_path)
         assert spec.eigenvalues[1] / spec.eigenvalues[0] < 0.05
 
     def test_quad3_sir_third_gap(self, tmp_path):
         cfg = small_config(
-            tmp_path,
             function="quad3",
             method="sir",
             sizes=(1_000,),
@@ -102,14 +152,14 @@ class TestTruthSurrogate:
             n_slices=20,
             n_components=3,
         )
-        spec = truth_surrogate(cfg)
+        spec = truth_surrogate(cfg, tmp_path)
         w = spec.eigenvalues
         assert (w[2] - w[3]) / w[0] > 0.05
 
 
 class TestRunConvergence:
     def test_records_round_out(self, tmp_path):
-        study = run_convergence(small_config(tmp_path))
+        study = run_convergence(small_config(), tmp_path)
         assert len(study.records) == 4
         for r in study.records:
             assert r.eig_mse_norm >= 0.0
@@ -117,34 +167,33 @@ class TestRunConvergence:
             assert r.n_r_min >= 1
 
     def test_two_sizes_give_no_slopes(self, tmp_path):
-        study = run_convergence(small_config(tmp_path))
+        study = run_convergence(small_config(), tmp_path)
         assert study.subspace_slope is None
         assert study.eig_mse_slope is None
 
     def test_single_size_single_trial(self, tmp_path):
         study = run_convergence(
-            small_config(tmp_path, sizes=(300,), trials=1, truth_size=3_000)
+            small_config(sizes=(300,), trials=1, truth_size=3_000), tmp_path
         )
         assert len(study.records) == 1
         assert study.subspace_slope is None
 
     def test_three_sizes_fit_slopes(self, tmp_path):
         study = run_convergence(
-            small_config(
-                tmp_path, sizes=(200, 400, 800), trials=3, truth_size=8_000
-            )
+            small_config(sizes=(200, 400, 800), trials=3, truth_size=8_000),
+            tmp_path,
         )
         assert study.subspace_slope is not None
         assert study.eig_mse_slope is not None
         assert study.subspace_slope < 0.0
 
     def test_reproducible(self, tmp_path):
-        a = run_convergence(small_config(tmp_path))
-        b = run_convergence(small_config(tmp_path))
+        a = run_convergence(small_config(), tmp_path)
+        b = run_convergence(small_config(), tmp_path)
         assert a.records == b.records
 
     def test_mean_by_size(self, tmp_path):
-        study = run_convergence(small_config(tmp_path))
+        study = run_convergence(small_config(), tmp_path)
         means = study.mean_by_size("subspace_dist")
         assert set(means) == {200, 400}
         manual = np.mean(
@@ -155,14 +204,14 @@ class TestRunConvergence:
 
 class TestGapDependence:
     def test_identical_studies_tie(self, tmp_path):
-        study = run_convergence(small_config(tmp_path))
+        study = run_convergence(small_config(), tmp_path)
         report = gap_dependence_check(study, study)
         assert report.passed
         assert report.tied
 
     def test_mismatched_setup_rejected(self, tmp_path):
-        a = run_convergence(small_config(tmp_path))
-        b = run_convergence(small_config(tmp_path, n_slices=4))
+        a = run_convergence(small_config(), tmp_path)
+        b = run_convergence(small_config(n_slices=4), tmp_path)
         with pytest.raises(ValueError, match="shared setup"):
             gap_dependence_check(a, b)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ridgerec.core import SampleSet
@@ -227,14 +227,12 @@ class TestLayoutProperties:
     def _slices(y, p):
         return [y[p.order[a:b]] for a, b in zip(p.offsets[:-1], p.offsets[1:])]
 
-    @settings(deadline=None)
     @given(case=ANY_RESPONSES)
     def test_order_is_a_permutation(self, partition, case):
         y, r = case
         p = partition(y, r)
         np.testing.assert_array_equal(np.sort(p.order), np.arange(len(y)))
 
-    @settings(deadline=None)
     @given(case=ANY_RESPONSES)
     def test_offsets_strictly_ascend_from_zero_to_n(self, partition, case):
         y, r = case
@@ -243,7 +241,6 @@ class TestLayoutProperties:
         assert np.all(np.diff(p.offsets) > 0)
         assert 1 <= p.n_slices <= r
 
-    @settings(deadline=None)
     @given(case=ANY_RESPONSES)
     def test_responses_lie_in_their_closed_intervals(self, partition, case):
         y, r = case
@@ -251,7 +248,6 @@ class TestLayoutProperties:
         for k, ys in enumerate(self._slices(y, p)):
             assert p.boundaries[k] <= ys.min() and ys.max() <= p.boundaries[k + 1]
 
-    @settings(deadline=None)
     @given(case=ANY_RESPONSES)
     def test_membership_matches_interval_scan(self, partition, case):
         y, r = case
@@ -259,7 +255,6 @@ class TestLayoutProperties:
         expected = [sorted(e) for e in slice_membership(y, p.boundaries)]
         assert [sorted(ix.tolist()) for ix in p.membership] == expected
 
-    @settings(deadline=None)
     @given(case=responses_and_slice_count(ties=True))
     def test_no_tie_run_straddles_a_cut(self, partition, case):
         y, r = case
@@ -268,7 +263,6 @@ class TestLayoutProperties:
             assert lower.max() < upper.min()
 
 
-@settings(deadline=None)
 @given(case=responses_and_slice_count(ties=False))
 def test_equal_count_balanced_without_ties(case):
     y, r = case
