@@ -103,22 +103,39 @@ def read_samples_csv(path: Path) -> SampleSet:
     return SampleSet(inputs=body[:, :m], outputs=body[:, m], standardized=False)
 
 
+#: Each measure kind's constructor and the spec keys it takes, in order; any
+#: kind may also carry ``dimension``, which must then match the measure.
+_MEASURE_KINDS = {
+    "standard-gaussian": (lambda dimension: InputMeasure.standard_gaussian(int(dimension)),
+                          ("dimension",)),
+    "gaussian": (InputMeasure.gaussian, ("mean", "cov")),
+    "uniform-box": (InputMeasure.uniform_box, ("lower", "upper")),
+}
+
+
 def measure_from_spec(spec: dict) -> InputMeasure:
-    """Build an InputMeasure from its JSON object form."""
+    """Build an InputMeasure from its JSON object form, refusing keys its kind does not take."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _MEASURE_KINDS:
+        raise UsageError(f"unknown measure kind {kind!r}; "
+                         f"expected one of {', '.join(_MEASURE_KINDS)}")
+    make, keys = _MEASURE_KINDS[kind]
+    unknown = sorted(set(spec) - {"kind", "dimension", *keys})
+    if "log_transform" in unknown:
+        raise UsageError("log_transform is not supported; take logs of the "
+                         "input columns before ingest")
+    if unknown:
+        raise UsageError(f"measure spec key(s) {', '.join(unknown)} do not apply to kind {kind}")
     try:
-        kind = spec["kind"]
-        if spec.get("log_transform"):
-            raise UsageError("log_transform is not supported; take logs of the "
-                             "input columns before ingest")
-        if kind == "standard-gaussian":
-            return InputMeasure.standard_gaussian(int(spec["dimension"]))
-        if kind == "gaussian":
-            return InputMeasure.gaussian(spec["mean"], spec["cov"])
-        if kind == "uniform-box":
-            return InputMeasure.uniform_box(spec["lower"], spec["upper"])
-    except (KeyError, TypeError, ValueError) as exc:
+        measure = make(*[spec[key] for key in keys])
+    except KeyError as exc:
+        raise UsageError(f"measure spec of kind {kind} lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad measure spec: {exc}") from exc
-    raise UsageError(f"unknown measure kind {kind!r}")
+    if spec.get("dimension", measure.dimension) != measure.dimension:
+        raise UsageError(f"measure spec key dimension is {spec['dimension']!r}, but the "
+                         f"{kind} measure has dimension {measure.dimension}")
+    return measure
 
 
 def measure_to_spec(measure: InputMeasure) -> dict:
@@ -151,13 +168,14 @@ def _check_dim(dim: int, m: int) -> None:
 def cmd_sample(args: argparse.Namespace) -> int:
     fn = get_test_function(_require(args.function, "--function"))
     n = _require(args.n, "--n")
-    s = generate_samples(fn, n, args.seed, standardized=not args.raw)
+    seed = args.seed or 0
+    s = generate_samples(fn, n, seed, standardized=not args.raw)
     write_samples_csv(args.out / "samples.csv", s)
     sidecar = {
         "function": fn.name,
         "n": n,
         "m": fn.dimension,
-        "seed": args.seed,
+        "seed": seed,
         "standardized": s.standardized,
         "measure": measure_to_spec(fn.measure),
     }
@@ -168,7 +186,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _refuse(args: argparse.Namespace, source: str, *dests: str) -> None:
-    """Exit 2 naming each of ``dests`` set away from its default: it does not apply to ``source``."""
+    """Exit 2 naming each of ``dests`` that was given: it does not apply to ``source``.
+
+    Each defaults to None or False, so any value given differs from its default.
+    """
     defaults = build_parser().parse_args([args.command])
     names = [dest if dest == "measure" else "--" + dest.replace("_", "-")
              for dest in dests if getattr(args, dest) != getattr(defaults, dest)]
@@ -183,7 +204,7 @@ def _obtain_samples(args: argparse.Namespace):
     if args.function is not None:
         _refuse(args, "--function", "assume_standardized", "measure")
         fn = get_test_function(args.function)
-        return generate_samples(fn, _require(args.n, "--n"), args.seed), args.function
+        return generate_samples(fn, _require(args.n, "--n"), args.seed or 0), args.function
 
     _refuse(args, "--input", "n", "seed")
     s = read_samples_csv(Path(args.input))
@@ -259,7 +280,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             method=args.method,
             sizes=sizes,
             trials=args.trials,
-            seed=args.seed,
+            seed=args.seed or 0,
             n_components=args.dim,
             n_slices=args.slices or default_slice_count(min(sizes)),
             scheme=args.slice_scheme,
@@ -344,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", type=Path, default=".",
                        help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
+        # Read as ``args.seed or 0``: no default value, so that `--seed 0`
+        # can be told from no `--seed` where a seed does not apply.
+        p.add_argument("--seed", type=int, help="master seed (default: 0)")
         p.add_argument("--verbose", action="store_true", help="print progress notes")
         p.add_argument("--function", type=_function_name,
                        help=f"built-in model: {', '.join(TEST_FUNCTION_NAMES)}")

@@ -84,30 +84,38 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Trial records plus fitted slopes and the surrogate spectrum.
+    """Trial records and the surrogate spectrum, with slopes derived from them.
 
     Slopes are ordinary least squares on log10 of the per-size trial
     means versus log10 of the size, and are only fitted when the study
-    covers at least three sizes.  ``distance_trend_inversions`` counts
-    adjacent size pairs where the mean distance increased; a converging
-    study should show at most one such inversion.
+    covers at least three sizes.
     """
 
     config: StudyConfig
     records: tuple
     truth: SymmetricSpectrum
-    subspace_slope: Optional[float]
-    eig_mse_slope: Optional[float]
-    distance_trend_inversions: int
 
     def mean_by_size(self, field: str) -> dict:
         """Per-size trial means of one record field."""
-        return _mean_by_size(self.records, self.config.sizes, field)
+        return {n: float(np.mean([getattr(r, field) for r in self.records if r.size == n]))
+                for n in self.config.sizes}
 
+    def _slope(self, field: str) -> Optional[float]:
+        means = list(self.mean_by_size(field).values())
+        return loglog_slope(self.config.sizes, means) if len(means) >= 3 else None
 
-def _mean_by_size(records, sizes, field: str) -> dict:
-    return {n: float(np.mean([getattr(r, field) for r in records if r.size == n]))
-            for n in sizes}
+    @property
+    def subspace_slope(self) -> Optional[float]:
+        return self._slope("subspace_dist")
+
+    @property
+    def eig_mse_slope(self) -> Optional[float]:
+        return self._slope("eig_mse_norm")
+
+    @property
+    def distance_trend_inversions(self) -> int:
+        """Adjacent size pairs where the mean distance rose; converging studies show <= 1."""
+        return int(np.sum(np.diff(list(self.mean_by_size("subspace_dist").values())) > 0))
 
 
 def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
@@ -158,7 +166,7 @@ def loglog_slope(xs, ys) -> float:
 
 
 def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
-    """Run the full study: per-size trials, error records, fitted slopes.
+    """Run the full study: per-size trials against the truth surrogate.
 
     Trial seeds derive from (master seed, size index, trial index), so
     the study is reproducible and trials are independent.  Any trial
@@ -185,26 +193,7 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
                     subspace_dist=subspace_distance(truth_sub, est.subspace),
                 )
             )
-
-    mean_dist = list(_mean_by_size(records, cfg.sizes, "subspace_dist").values())
-    mean_mse = list(_mean_by_size(records, cfg.sizes, "eig_mse_norm").values())
-    inversions = int(np.sum(np.diff(mean_dist) > 0))
-
-    if len(cfg.sizes) >= 3:
-        subspace_slope = loglog_slope(cfg.sizes, mean_dist)
-        eig_mse_slope = loglog_slope(cfg.sizes, mean_mse)
-    else:
-        subspace_slope = None
-        eig_mse_slope = None
-
-    return ConvergenceStudy(
-        config=cfg,
-        records=tuple(records),
-        truth=truth,
-        subspace_slope=subspace_slope,
-        eig_mse_slope=eig_mse_slope,
-        distance_trend_inversions=inversions,
-    )
+    return ConvergenceStudy(config=cfg, records=tuple(records), truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +202,22 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
 
 @dataclass(frozen=True)
 class GapDependenceReport:
-    """Comparison of mean subspace errors at two truncation dimensions.
-
-    ``passed`` records whether the dimension sitting at the larger
-    spectral gap achieved the strictly smaller mean distance; ``tied``
-    flags the non-strict fallback when the means coincide (as they do
-    when the same study is compared with itself).
-    """
+    """Comparison of mean subspace errors at two truncation dimensions."""
 
     n_small_gap_side: int
     n_large_gap_side: int
     mean_dist_large_gap: float
     mean_dist_small_gap: float
-    passed: bool
-    tied: bool
+
+    @property
+    def passed(self) -> bool:
+        """The dimension at the larger spectral gap has the smaller mean distance, or a tie."""
+        return self.mean_dist_large_gap <= self.mean_dist_small_gap
+
+    @property
+    def tied(self) -> bool:
+        """The means coincide, as they do when a study is compared with itself."""
+        return self.mean_dist_large_gap == self.mean_dist_small_gap
 
 
 def gap_dependence_check(
@@ -250,8 +241,6 @@ def gap_dependence_check(
         n_large_gap_side=a.n_components,
         mean_dist_large_gap=da,
         mean_dist_small_gap=db,
-        passed=da <= db,
-        tied=da == db,
     )
 
 
@@ -285,17 +274,17 @@ def bootstrap_eigenvalues(
     method: str,
     n_resamples: int,
     seed: int,
-    n_components: int = 1,
 ) -> BootstrapResult:
     """Paired-resample eigenvalue ranges for one estimator run.
 
     Each resample draws N index pairs with replacement and reruns the
     whole pipeline, including re-slicing, so the ranges reflect slicing
-    variability as well as moment noise.
+    variability as well as moment noise.  The full spectrum is returned,
+    so no subspace dimension is asked for.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    point = estimate(s, n_slices, scheme, method, n_components).spectrum.eigenvalues
+    point = estimate(s, n_slices, scheme, method, 1).spectrum.eigenvalues
     rng = generator(seed)
     stack = np.empty((n_resamples, point.size))
     for b in range(n_resamples):
@@ -305,7 +294,7 @@ def bootstrap_eigenvalues(
             outputs=s.outputs[idx],
             standardized=s.standardized,
         )
-        stack[b] = estimate(res, n_slices, scheme, method, n_components).spectrum.eigenvalues
+        stack[b] = estimate(res, n_slices, scheme, method, 1).spectrum.eigenvalues
     return BootstrapResult(
         n_resamples=n_resamples,
         point=point,

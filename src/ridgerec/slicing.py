@@ -20,6 +20,10 @@ Conventions that make results exactly reproducible:
   split a run of ties is moved to the start of the run, or past its end
   when moving left would empty the slice;
 * empty fixed-width slices merge toward lower slice index.
+
+A constant response needs no special case: both schemes put every sample
+in one slice with boundaries [y, y], which the partition reports as
+``degenerate``.
 """
 
 from __future__ import annotations
@@ -41,16 +45,13 @@ class SlicePartition:
     ``order`` lists the N sample indices slice by slice, and ``offsets``
     (R+1 entries rising strictly from 0 to N) marks where each slice
     starts: slice r holds ``order[offsets[r]:offsets[r + 1]]``.  Both are
-    stored as read-only views, not copies.  ``degenerate`` flags the
-    single-slice fallback for a constant response, whose boundary pair
-    collapses to [y, y].
+    stored as read-only views, not copies.
     """
 
     boundaries: np.ndarray
     order: np.ndarray
     offsets: np.ndarray
     scheme: str
-    degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", _freeze(self.boundaries))
@@ -71,6 +72,11 @@ class SlicePartition:
             raise ValueError("boundaries must be strictly ascending")
         if np.any(np.diff(off) <= 0):
             raise ValueError("every slice must hold at least one sample")
+
+    @property
+    def degenerate(self) -> bool:
+        """True for a constant response: one slice with boundaries [y, y]."""
+        return bool(self.boundaries[0] == self.boundaries[-1])
 
     @property
     def membership(self) -> tuple:
@@ -97,24 +103,29 @@ class SlicePartition:
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per-slice weights, means, and covariances.
+    """Per-slice counts, means, and covariances.
 
-    ``weights[r]`` is the slice's sample fraction N_r / N.  Covariances
-    use the 1/(N_r - 1) normalization; single-sample slices get a zero
-    covariance and are listed in ``degenerate_slices``.
+    Covariances use the 1/(N_r - 1) normalization; single-sample slices
+    get a zero covariance and are listed in ``degenerate_slices``.
     """
 
     counts: np.ndarray
-    weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    degenerate_slices: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.intp))
-        object.__setattr__(self, "weights", _freeze(self.weights))
         object.__setattr__(self, "means", _freeze(self.means))
         object.__setattr__(self, "covariances", _freeze(self.covariances))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each slice's sample fraction N_r / N."""
+        return self.counts / self.counts.sum()
+
+    @property
+    def degenerate_slices(self) -> tuple:
+        return tuple(np.flatnonzero(self.counts == 1).tolist())
 
     @property
     def n_slices(self) -> int:
@@ -139,30 +150,16 @@ def _as_response_vector(outputs) -> np.ndarray:
     return y
 
 
-def _degenerate_partition(y: np.ndarray, scheme: str) -> SlicePartition:
-    return SlicePartition(
-        boundaries=np.array([y[0], y[0]]),
-        order=np.arange(y.size),
-        offsets=np.array([0, y.size]),
-        scheme=scheme,
-        degenerate=True,
-    )
-
-
 def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     """Cut [y_min, y_max] into equal-width slices, merging empty ones downward.
 
-    A constant response collapses to a single flagged slice.  The
-    returned partition may hold fewer than ``n_slices`` slices when some
-    intervals catch no samples.
+    The returned partition may hold fewer than ``n_slices`` slices when
+    some intervals catch no samples; a constant response gives one.
     """
     y = _as_response_vector(outputs)
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    lo, hi = y.min(), y.max()
-    if lo == hi:
-        return _degenerate_partition(y, "fixed")
-    bounds = np.linspace(lo, hi, n_slices + 1)
+    bounds = np.linspace(y.min(), y.max(), n_slices + 1)
     # A response equal to an interior boundary counts as below it.
     idx = np.searchsorted(bounds[1:-1], y, side="left")
     counts = np.bincount(idx, minlength=n_slices)
@@ -190,9 +187,6 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
         raise ValueError("more slices than samples")
     order = np.argsort(y, kind="stable")
     ys = y[order]
-    if ys[0] == ys[-1]:
-        return _degenerate_partition(y, "equal-count")
-
     cuts = []
     prev = 0
     for k in range(1, n_slices):
@@ -222,7 +216,7 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
 
 
 def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
-    """Compute per-slice weights, means, and covariances for a sample set.
+    """Compute per-slice counts, means, and covariances for a sample set.
 
     Raises if the partition does not cover exactly the sample set's rows
     or puts a response outside its slice's interval, which guards against
@@ -240,7 +234,6 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
         raise ValueError("partition does not match sample set (responses out of slice)")
 
     m = s.dimension
-    counts = partition.counts
     means = np.empty((partition.n_slices, m))
     covs = np.zeros((partition.n_slices, m, m))
     for r, ix in enumerate(partition.membership):
@@ -249,10 +242,4 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
         if len(ix) > 1:
             xc = xs - means[r]
             covs[r] = xc.T @ xc / (len(ix) - 1)
-    return SliceStats(
-        counts=counts,
-        weights=counts / n,
-        means=means,
-        covariances=covs,
-        degenerate_slices=tuple(np.flatnonzero(counts == 1).tolist()),
-    )
+    return SliceStats(counts=partition.counts, means=means, covariances=covs)

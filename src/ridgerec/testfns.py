@@ -11,13 +11,15 @@ Three models exercise the estimators in complementary ways:
 * ``hartmann`` -- the induced magnetic field of laminar duct
   magnetohydrodynamic flow between parallel plates, as a function of the
   logarithms of five physical inputs (viscosity, density, pressure
-  gradient, magnetic resistivity, applied field).  The log-inputs admit
-  a two-dimensional central subspace; the fluid density never enters.
+  gradient, magnetic resistivity, applied field), with the channel
+  half-width and the magnetic permeability fixed at one.  The log-inputs
+  admit a two-dimensional central subspace; the fluid density never
+  enters.
 
-Each model carries its canonical input measure and, where known, the true
-subspace in the coordinates its evaluator consumes.  The canonical
-coefficient draws for the quadratics come from a fixed documented seed so
-downstream golden numbers are reproducible.
+Each model carries its canonical input measure and its true subspace in
+the coordinates its evaluator consumes.  The canonical coefficient draws
+for the quadratics come from a fixed documented seed so downstream golden
+numbers are reproducible.
 """
 
 from __future__ import annotations
@@ -60,15 +62,18 @@ class TestFunction:
     """An evaluatable model bundled with its measure and known subspace.
 
     ``evaluator`` maps an (N, m) array of raw draws from ``measure`` to N
-    scalar responses.  ``true_subspace``, when present, is expressed in
-    the same coordinates the evaluator consumes.
+    scalar responses.  ``true_subspace`` is expressed in the same
+    coordinates the evaluator consumes.
     """
 
     name: str
-    dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     measure: InputMeasure
-    true_subspace: Optional[Subspace] = None
+    true_subspace: Subspace
+
+    @property
+    def dimension(self) -> int:
+        return self.measure.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +134,11 @@ def canonical_quad3_coefficients() -> tuple[np.ndarray, np.ndarray]:
 # Hartmann induced magnetic field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HartmannParams:
-    """Geometry constants of the duct-flow model.
-
-    ell is the channel half-width and mu0 the magnetic permeability
-    constant; both are dimensionless here and default to one.  The true
-    subspace of the log-input model does not depend on either.
-    """
-
-    ell: float = 1.0
-    mu0: float = 1.0
-
-    def __post_init__(self):
-        if self.ell <= 0 or self.mu0 <= 0:
-            raise ValueError("ell and mu0 must be strictly positive")
-
+#: Channel half-width ell and magnetic permeability mu0 of the duct-flow
+#: model, dimensionless here.  The true subspace of the log-input model
+#: does not depend on either.
+HARTMANN_ELL = 1.0
+HARTMANN_MU0 = 1.0
 
 #: Input ordering for the Hartmann model.
 HARTMANN_INPUT_NAMES = ("fluid viscosity", "fluid density", "pressure gradient",
@@ -155,11 +149,12 @@ HARTMANN_LOG_MEAN = np.array([-2.25, 1.0, 0.3, 0.3, -0.75])
 HARTMANN_LOG_COV = np.diag([0.15, 0.25, 0.25, 0.25, 0.25])
 
 
-def hartmann_b_ind(x: np.ndarray, params: HartmannParams = HartmannParams()) -> np.ndarray:
+def hartmann_b_ind(x: np.ndarray) -> np.ndarray:
     """Total induced magnetic field of laminar MHD flow between plates.
 
     Input columns are (viscosity mu, density rho, pressure gradient,
-    resistivity eta, applied field B0) in physical units.  The density
+    resistivity eta, applied field B0) in physical units; the geometry
+    constants are ``HARTMANN_ELL`` and ``HARTMANN_MU0``.  The density
     column is carried for interface uniformity but does not influence the
     field.  Viscosity, resistivity, and applied field must be positive.
     """
@@ -170,8 +165,8 @@ def hartmann_b_ind(x: np.ndarray, params: HartmannParams = HartmannParams()) -> 
     if np.any(mu <= 0) or np.any(eta <= 0) or np.any(b0 <= 0):
         raise ValueError("viscosity, resistivity, and applied field must be positive")
     root = np.sqrt(eta * mu)
-    ha = b0 * params.ell / (2.0 * root)  # Hartmann number scale
-    return dp * (params.ell * params.mu0 / (2.0 * b0)) * (1.0 - np.tanh(ha) / ha)
+    ha = b0 * HARTMANN_ELL / (2.0 * root)  # Hartmann number scale
+    return dp * (HARTMANN_ELL * HARTMANN_MU0 / (2.0 * b0)) * (1.0 - np.tanh(ha) / ha)
 
 
 #: Generators of the central subspace of B_ind over the log-inputs:
@@ -211,7 +206,6 @@ def get_test_function(name: str) -> TestFunction:
         b = canonical_quad1_direction()
         return TestFunction(
             name="quad1",
-            dimension=QUAD_DIMENSION,
             evaluator=functools.partial(quad1, b),
             measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
             true_subspace=Subspace(b.reshape(-1, 1)),
@@ -220,20 +214,16 @@ def get_test_function(name: str) -> TestFunction:
         B, b = canonical_quad3_coefficients()
         return TestFunction(
             name="quad3",
-            dimension=QUAD_DIMENSION,
             evaluator=functools.partial(quad3, B, b),
             measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
             true_subspace=Subspace(orthonormal_basis(np.column_stack([B, b]))),
         )
     if name == "hartmann":
-        params = HartmannParams()
-
         def log_input_field(z: np.ndarray) -> np.ndarray:
-            return hartmann_b_ind(np.exp(np.atleast_2d(z)), params)
+            return hartmann_b_ind(np.exp(np.atleast_2d(z)))
 
         return TestFunction(
             name="hartmann",
-            dimension=5,
             evaluator=log_input_field,
             measure=InputMeasure.gaussian(HARTMANN_LOG_MEAN, HARTMANN_LOG_COV),
             true_subspace=hartmann_true_subspace(),

@@ -213,6 +213,48 @@ class TestEstimateCommands:
         assert "take logs of the input columns" in capsys.readouterr().err
         assert not (tmp_path / "estimate.json").exists()
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "standard-gaussian", "dimension": 2, "mean": [5, 5],
+          "cov": [[1, 0], [0, 1]]}, "cov, mean"),
+        ({"kind": "gaussian", "dimension": 7, "mean": [5, 5], "cov": [[1, 0], [0, 1]]},
+         "dimension is 7"),
+        ({"kind": "gaussian", "mean": [5, 5], "cov": [[1, 0], [0, 1]], "log_transfrom": True},
+         "log_transfrom"),
+        ({"kind": "gaussian", "mean": [5, 5], "cov": [[1, 0], [0, 1]], "lower": [0, 0]},
+         "lower"),
+        ({"kind": "uniform-box", "dimension": 3, "lower": [0, 0], "upper": [9, 9]},
+         "dimension is 3"),
+        ({"kind": "standard-gaussian"}, "lacks key 'dimension'"),
+        ({"kind": "gaussian", "mean": [5, 5]}, "lacks key 'cov'"),
+        ({"kind": "normal", "dimension": 2}, "unknown measure kind 'normal'"),
+    ], ids=["mean-cov-on-standard", "dimension-mismatch", "misspelt-key", "box-key-on-gaussian",
+            "box-dimension-mismatch", "standard-without-dimension", "gaussian-without-cov",
+            "unknown-kind"])
+    def test_measure_spec_keys_checked(self, tmp_path, capsys, spec, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"measure": spec}))
+        out = tmp_path / "out"
+        assert run("sir", *_mean_five_csv(tmp_path), "--config", str(path),
+                   "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("function", ["quad1", "hartmann"])
+    def test_sample_sidecar_measure_round_trips(self, tmp_path, function):
+        """Raw samples whitened against their sidecar's measure give the
+        same estimate as the generated, standardized samples."""
+        raw, ingested, generated = tmp_path / "raw", tmp_path / "ingested", tmp_path / "gen"
+        assert run("sample", "--function", function, "--n", "400", "--seed", "3", "--raw",
+                   "--out", str(raw)) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"measure": read_json(raw / "samples.json")["measure"]}))
+        assert run("sir", "--input", str(raw / "samples.csv"), "--config", str(config),
+                   "--slices", "8", "--out", str(ingested)) == 0
+        assert run("sir", "--function", function, "--n", "400", "--seed", "3",
+                   "--slices", "8", "--out", str(generated)) == 0
+        assert (read_json(ingested / "estimate.json")["eigenvalues"]
+                == read_json(generated / "estimate.json")["eigenvalues"])
+
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -242,8 +284,13 @@ class TestEstimateCommands:
         ("save", "function", ["--n", "100"], STANDARD_2D, "measure cannot be used with --function"),
         ("sir", "input", ["--assume-standardized"], STANDARD_2D,
          "measure cannot be used with --assume-standardized"),
+        ("sir", "input", ["--assume-standardized", "--seed", "0"], {},
+         "--seed cannot be used with --input"),
+        ("sir", "input", ["--assume-standardized"], {"seed": 0},
+         "--seed cannot be used with --input"),
     ], ids=["n-seed-with-input", "seed-with-input", "assume-with-function",
-            "measure-with-function", "measure-with-assume"])
+            "measure-with-function", "measure-with-assume", "default-seed-with-input",
+            "config-default-seed-with-input"])
     def test_option_foreign_to_the_source_refused(self, tmp_path, capsys, command, source,
                                                   flags, config, refusal):
         path = tmp_path / "config.json"

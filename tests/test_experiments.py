@@ -246,7 +246,7 @@ class TestBootstrap:
         s = SampleSet(inputs=[[3.0, 1.0]], outputs=[2.0], standardized=True)
         result = bootstrap_eigenvalues(
             s, n_slices=1, scheme="equal-count", method="sir",
-            n_resamples=2, seed=1, n_components=1,
+            n_resamples=2, seed=1,
         )
         np.testing.assert_array_equal(result.lower, result.point)
         np.testing.assert_array_equal(result.upper, result.point)

@@ -219,6 +219,16 @@ def responses_and_slice_count(draw, ties):
 ANY_RESPONSES = st.booleans().flatmap(responses_and_slice_count)
 
 
+@st.composite
+def constant_responses(draw):
+    """A constant response vector, possibly mixing 0.0 and -0.0, and R <= N."""
+    n = draw(st.integers(1, 80))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)
+    y = draw(st.one_of(finite.map(lambda v: [v] * n), zeros))
+    return np.array(y, dtype=float), draw(st.integers(1, n))
+
+
 @pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
 class TestLayoutProperties:
     """The flat layout's invariants over random responses, with and without ties."""
@@ -254,6 +264,17 @@ class TestLayoutProperties:
         p = partition(y, r)
         expected = [sorted(e) for e in slice_membership(y, p.boundaries)]
         assert [sorted(ix.tolist()) for ix in p.membership] == expected
+
+    @given(case=st.one_of(constant_responses(), ANY_RESPONSES))
+    def test_degenerate_exactly_when_constant(self, partition, case):
+        y, r = case
+        p = partition(y, r)
+        assert p.degenerate == (y.min() == y.max())
+        if p.degenerate:
+            assert p.n_slices == 1
+            np.testing.assert_array_equal(p.order, np.arange(len(y)))
+            np.testing.assert_array_equal(p.offsets, [0, len(y)])
+            assert p.boundaries.tolist() == [y[0], y[0]]  # equal as values: -0.0 == 0.0
 
     @given(case=responses_and_slice_count(ties=True))
     def test_no_tie_run_straddles_a_cut(self, partition, case):

@@ -5,7 +5,6 @@ import pytest
 
 from ridgerec.measures import fit_standardizer
 from ridgerec.testfns import (
-    HartmannParams,
     TEST_FUNCTION_NAMES,
     canonical_quad1_direction,
     canonical_quad3_coefficients,
@@ -122,12 +121,6 @@ class TestHartmannField:
             x[j] = -1.0
             with pytest.raises(ValueError, match="positive"):
                 hartmann_b_ind(x)
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            HartmannParams(ell=-1.0)
-        with pytest.raises(ValueError):
-            HartmannParams(mu0=0.0)
 
 
 class TestHartmannSubspace:
