@@ -40,14 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, validate_sample_set, write_atomic
+from ridgerec.core import METHODS, SampleSet, validate_sample_set, write_atomic
 from ridgerec.estimators import estimate
-from ridgerec.experiments import (
-    DEFAULT_TRUTH_SEED,
-    StudyConfig,
-    run_convergence,
-    summary_plot_data,
-)
+from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
 from ridgerec.measures import InputMeasure, fit_standardizer, standardize
 from ridgerec.slicing import SCHEMES, default_slice_count
 from ridgerec.spectral import gap_profile
@@ -139,15 +134,10 @@ def measure_from_spec(spec: dict) -> InputMeasure:
 
 
 def measure_to_spec(measure: InputMeasure) -> dict:
-    spec: dict = {"kind": measure.kind, "dimension": measure.dimension}
-    if measure.mean is not None:
-        spec["mean"] = measure.mean.tolist()
-    if measure.cov is not None:
-        spec["cov"] = measure.cov.tolist()
-    if measure.lower is not None:
-        spec["lower"] = measure.lower.tolist()
-        spec["upper"] = measure.upper.tolist()
-    return spec
+    """The JSON object form of a measure: its kind, dimension and the keys its kind takes."""
+    _, keys = _MEASURE_KINDS[measure.kind]
+    return {"kind": measure.kind,
+            **{key: np.asarray(getattr(measure, key)).tolist() for key in ("dimension", *keys)}}
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +148,6 @@ def _require(value, what: str):
     if value is None:
         raise UsageError(f"missing required option: {what}")
     return value
-
-
-def _check_dim(dim: int, m: int) -> None:
-    if dim > m:
-        raise UsageError(f"--dim {dim}: the requested dimension exceeds input dimension {m}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -188,11 +173,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def _refuse(args: argparse.Namespace, source: str, *dests: str) -> None:
     """Exit 2 naming each of ``dests`` that was given: it does not apply to ``source``.
 
-    Each defaults to None or False, so any value given differs from its default.
+    Each defaults to None or False, so a value that is neither was given.
+    The test is by identity: ``--seed 0`` equals False but is not False.
     """
-    defaults = build_parser().parse_args([args.command])
     names = [dest if dest == "measure" else "--" + dest.replace("_", "-")
-             for dest in dests if getattr(args, dest) != getattr(defaults, dest)]
+             for dest in dests
+             if getattr(args, dest) is not None and getattr(args, dest) is not False]
     if names:
         raise UsageError(f"{' and '.join(names)} cannot be used with {source}")
 
@@ -210,7 +196,9 @@ def _obtain_samples(args: argparse.Namespace):
     s = read_samples_csv(Path(args.input))
     violations = validate_sample_set(s)
     if violations:
-        raise UsageError("ingested samples are invalid: " + "; ".join(violations))
+        more = f"; and {len(violations) - 5} more" if len(violations) > 5 else ""
+        raise UsageError(f"ingested samples are invalid ({len(violations)} violations): "
+                         + "; ".join(violations[:5]) + more)
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
         s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
@@ -231,7 +219,8 @@ def _obtain_samples(args: argparse.Namespace):
 def cmd_estimate(args: argparse.Namespace) -> int:
     s, source = _obtain_samples(args)
     m = s.dimension
-    _check_dim(args.dim, m)
+    if args.dim > m:
+        raise UsageError(f"--dim {args.dim}: the requested dimension exceeds input dimension {m}")
     n_slices = args.slices or default_slice_count(s.n_samples)
 
     est = estimate(s, n_slices, args.slice_scheme, args.command, args.dim)
@@ -273,7 +262,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     function = _require(args.function, "--function")
     sizes = _require(args.sizes, "--sizes")
-    _check_dim(args.dim, get_test_function(function).dimension)
     try:
         cfg = StudyConfig(
             function=function,
@@ -358,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_sample = sub.add_parser("sample", help="draw and evaluate a built-in model")
     p_est = [sub.add_parser(name, help=f"run {name} on generated or ingested samples")
-             for name in ("sir", "save")]
+             for name in METHODS]
     p_conv = sub.add_parser("converge", help="run a convergence study")
 
     for p in [p_sample, *p_est, p_conv]:
@@ -385,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slice-scheme", choices=SCHEMES, default="equal-count")
         p.add_argument("--dim", type=_positive_int, default=1,
                        help="requested subspace dimension")
-    p_conv.add_argument("--method", choices=("sir", "save"), default="sir")
+    p_conv.add_argument("--method", choices=METHODS, default="sir")
     p_conv.add_argument("--sizes", type=_sizes, help="comma-separated ascending sample sizes")
     p_conv.add_argument("--trials", type=_positive_int, default=10)
     p_conv.add_argument("--truth-size", type=_positive_int,
                         help="surrogate sample size (default: 10x the largest size)")
-    p_conv.add_argument("--truth-seed", type=int, default=DEFAULT_TRUTH_SEED)
+    p_conv.add_argument("--truth-seed", type=int, default=777)
     p_conv.add_argument("--cache-dir", help="surrogate cache (default: OUT/cache)")
     return parser
 
@@ -447,7 +435,7 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv[:1] + _config_tokens(config, args) + argv[1:])
         if args.command == "sample":
             return cmd_sample(args)
-        if args.command in ("sir", "save"):
+        if args.command in METHODS:
             args.measure = config.get("measure")
             return cmd_estimate(args)
         return cmd_converge(args)

@@ -1,8 +1,9 @@
 """Shared data model: sample sets, spectra, subspaces, and estimate records.
 
-All containers are frozen dataclasses holding read-only numpy arrays, so
-instances can be shared freely across threads.  Validation of sample sets
-is a separate, non-throwing operation (:func:`validate_sample_set`); the
+All containers, here and in the other modules, are frozen dataclasses
+holding read-only numpy arrays, so instances can be shared freely across
+threads.  :data:`METHODS` is the one list of estimator names.  Validation
+of sample sets is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time
 because a malformed spectrum is always a programming error.
 :func:`write_atomic` is the one file writer every artifact goes through.
@@ -28,12 +29,13 @@ RECONSTRUCTION_TOL = 1e-8
 #: Eigenvalue tolerance under which SIR/SAVE matrices must be positive semidefinite.
 PSD_TOL = -1e-10
 
+#: The estimators, in the order the CLI lists them.
 METHODS = ("sir", "save")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Return a float64 copy of ``a`` with the writeable flag cleared."""
-    out = np.array(a, dtype=np.float64, copy=True)
+def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Return a copy of ``a`` as ``dtype`` with the writeable flag cleared."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -151,12 +153,17 @@ class SymmetricSpectrum:
 
 @dataclass(frozen=True)
 class Subspace:
-    """An orthonormal basis of an n-dimensional subspace of R^m."""
+    """An orthonormal basis of an n-dimensional subspace of R^m: (m, n) columns.
+
+    A 1-D basis is read as one column, the direction of a line.
+    """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=np.float64))
+        basis = np.asarray(self.basis, dtype=np.float64)
+        if basis.ndim < 2:
+            basis = np.atleast_2d(basis).T
         if basis.shape[0] < basis.shape[1]:
             raise ValueError("basis must have at least as many rows as columns")
         object.__setattr__(self, "basis", _freeze(basis))

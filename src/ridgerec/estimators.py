@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ridgerec.core import SampleSet, SdrEstimate
+from ridgerec.core import METHODS, SampleSet, SdrEstimate
 from ridgerec.slicing import (
     SlicePartition,
     SliceStats,
@@ -65,7 +65,7 @@ def estimate(
     n_slices, scheme : int, str
         Slicing configuration ("fixed" or "equal-count").
     method : str
-        "sir" or "save".
+        One of :data:`~ridgerec.core.METHODS`.
     n_components : int
         Requested subspace dimension (the caller chooses it; eigenvalue
         gaps reported by the spectral module can guide the choice, but no
@@ -78,12 +78,8 @@ def estimate(
         )
     if not 1 <= n_components <= s.dimension:
         raise ValueError(f"n_components must lie in [1, {s.dimension}]")
-    if method == "sir":
-        matrix_of = sir_matrix
-    elif method == "save":
-        matrix_of = save_matrix
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'sir' or 'save'")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
     partition = make_partition(s.outputs, n_slices, scheme)
     if method == "save" and partition.min_count < 2:
@@ -93,7 +89,7 @@ def estimate(
             f"{partition.min_count}; use fewer slices"
         )
     stats = slice_stats(s, partition)
-    spectrum = decompose(matrix_of(stats))
+    spectrum = decompose(sir_matrix(stats) if method == "sir" else save_matrix(stats))
     return SdrEstimate(
         method=method,
         spectrum=spectrum,

@@ -24,15 +24,14 @@ from typing import Optional
 import numpy as np
 
 from ridgerec import __version__
-from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, write_atomic
+from ridgerec.core import (METHODS, SampleSet, SdrEstimate, Subspace, SymmetricSpectrum,
+                           _freeze, write_atomic)
 from ridgerec.estimators import estimate
 from ridgerec.measures import derive_seed, generator
 from ridgerec.slicing import SCHEMES
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
-DEFAULT_TRUTH_SIZE = 1_000_000
-DEFAULT_TRUTH_SEED = 777
 #: Layout of a cached surrogate file, part of its key.
 SURROGATE_FORMAT = 1
 
@@ -41,9 +40,11 @@ SURROGATE_FORMAT = 1
 class StudyConfig:
     """Everything that determines a convergence study.
 
-    ``sizes`` must ascend and the surrogate size must dominate the
-    largest study size by at least 10x so the surrogate's own error is
-    negligible on the study's scale.
+    No field has a default; the ``converge`` flags hold them.  Construction,
+    before any surrogate is drawn, checks for a known ``method`` and
+    ``scheme``, ``n_components`` within the input dimension of ``function``,
+    ascending ``sizes``, and a surrogate at least 10x the largest size so
+    its own error is negligible on the study's scale.
     """
 
     function: str
@@ -53,12 +54,20 @@ class StudyConfig:
     seed: int
     n_components: int
     n_slices: int
-    scheme: str = "equal-count"
-    truth_size: int = DEFAULT_TRUTH_SIZE
-    truth_seed: int = DEFAULT_TRUTH_SEED
+    scheme: str
+    truth_size: int
+    truth_seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        m = get_test_function(self.function).dimension
+        if self.n_components < 1:
+            raise ValueError("n_components must be at least 1")
+        if self.n_components > m:
+            raise ValueError(f"n_components {self.n_components}: the requested dimension "
+                             f"exceeds input dimension {m} of {self.function}")
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
@@ -151,7 +160,10 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     buf = io.BytesIO()
     np.savez(buf, key=key, matrix=spec.matrix, eigenvalues=spec.eigenvalues,
              eigenvectors=spec.eigenvectors)
-    write_atomic(path, buf.getvalue())
+    try:
+        write_atomic(path, buf.getvalue())
+    except OSError as exc:
+        raise OSError(f"cannot write truth surrogate cache file {path}: {exc}") from exc
     return spec
 
 
@@ -263,6 +275,8 @@ class BootstrapResult:
     upper: np.ndarray
 
     def __post_init__(self):
+        for name in ("point", "lower", "upper"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if np.any(self.lower > self.point) or np.any(self.point > self.upper):
             raise ValueError("bootstrap envelope must bracket the point estimate")
 
@@ -311,6 +325,8 @@ class SummaryPlotData:
     outputs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "projections", _freeze(self.projections))
+        object.__setattr__(self, "outputs", _freeze(self.outputs))
         if self.projections.shape[0] != self.outputs.shape[0]:
             raise ValueError("projection rows must match output length")
 
@@ -322,7 +338,7 @@ def summary_plot_data(s: SampleSet, est: SdrEstimate, dims: int) -> SummaryPlotD
     if dims > est.n_requested:
         raise ValueError("dims exceeds the estimate's requested dimension")
     W = est.spectrum.eigenvectors[:, :dims]
-    return SummaryPlotData(projections=s.inputs @ W, outputs=np.asarray(s.outputs))
+    return SummaryPlotData(projections=s.inputs @ W, outputs=s.outputs)
 
 
 def quadratic_fit_r2(coords: np.ndarray, outputs: np.ndarray) -> float:

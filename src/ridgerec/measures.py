@@ -191,14 +191,6 @@ def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
     return SampleSet(inputs=z, outputs=s.outputs, standardized=True)
 
 
-def unstandardize(s: SampleSet, std: Standardizer) -> SampleSet:
-    """Invert :func:`standardize`: x = mean + L z."""
-    if s.dimension != std.dimension:
-        raise ValueError("dimension mismatch")
-    x = s.inputs @ std.inverse.T + std.mean
-    return SampleSet(inputs=x, outputs=s.outputs, standardized=False)
-
-
 def pushforward_direction(std: Standardizer, w_standardized: np.ndarray) -> np.ndarray:
     """Express a recovered direction in original (unstandardized) coordinates.
 

@@ -114,7 +114,7 @@ class SliceStats:
     covariances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.intp))
+        object.__setattr__(self, "counts", _freeze(self.counts, np.intp))
         object.__setattr__(self, "means", _freeze(self.means))
         object.__setattr__(self, "covariances", _freeze(self.covariances))
 

@@ -6,7 +6,9 @@ fixed convention, so repeated runs and golden tests agree bit for bit.
 
 The distance between two subspaces of equal dimension is the spectral
 norm of the difference of their orthogonal projectors, which equals the
-sine of the largest principal angle and lies in [0, 1].
+sine of the largest principal angle and lies in [0, 1].  Either subspace
+may be given as a plain basis array, which is read as
+:class:`~ridgerec.core.Subspace` reads it: columns, or one 1-D vector.
 """
 
 from __future__ import annotations
@@ -88,14 +90,6 @@ def orthonormal_basis(columns) -> np.ndarray:
     return q * signs
 
 
-def _as_basis_array(x) -> np.ndarray:
-    """1-D input becomes a single basis column."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, np.newaxis]
-    return arr
-
-
 def subspace_distance(a, b) -> float:
     """Spectral-norm distance between two equal-dimensional subspaces.
 
@@ -106,9 +100,9 @@ def subspace_distance(a, b) -> float:
     the other.
     """
     if not isinstance(a, Subspace):
-        a = Subspace(basis=_as_basis_array(a))
+        a = Subspace(a)
     if not isinstance(b, Subspace):
-        b = Subspace(basis=_as_basis_array(b))
+        b = Subspace(b)
     if a.ambient_dimension != b.ambient_dimension:
         raise ValueError("subspaces live in different ambient dimensions")
     if a.dimension != b.dimension:

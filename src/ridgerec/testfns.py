@@ -140,10 +140,6 @@ def canonical_quad3_coefficients() -> tuple[np.ndarray, np.ndarray]:
 HARTMANN_ELL = 1.0
 HARTMANN_MU0 = 1.0
 
-#: Input ordering for the Hartmann model.
-HARTMANN_INPUT_NAMES = ("fluid viscosity", "fluid density", "pressure gradient",
-                        "magnetic resistivity", "applied magnetic field")
-
 #: Mean and covariance of the Gaussian measure on the log-inputs.
 HARTMANN_LOG_MEAN = np.array([-2.25, 1.0, 0.3, 0.3, -0.75])
 HARTMANN_LOG_COV = np.diag([0.15, 0.25, 0.25, 0.25, 0.25])
@@ -208,7 +204,7 @@ def get_test_function(name: str) -> TestFunction:
             name="quad1",
             evaluator=functools.partial(quad1, b),
             measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
-            true_subspace=Subspace(b.reshape(-1, 1)),
+            true_subspace=Subspace(b),
         )
     if name == "quad3":
         B, b = canonical_quad3_coefficients()

@@ -165,6 +165,17 @@ class TestEstimateCommands:
                    "--out", str(tmp_path)) == 2
         assert "non-finite entry at row 0" in capsys.readouterr().err
 
+    def test_many_invalid_rows_give_a_short_message(self, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("x1,x2,y\n" + "nan,1.0,2.0\n" * 20_000)
+        assert run("sir", "--input", str(csv), "--assume-standardized",
+                   "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "20000 violations" in err
+        assert "non-finite entry at row 4;" in err
+        assert "row 5;" not in err
+        assert len(err) < 400
+
     def test_ingest_without_standardization_info_rejected(self, tmp_path, capsys):
         s = SampleSet(inputs=[[0.1], [0.9]], outputs=[1.0, 2.0])
         csv = tmp_path / "raw.csv"
@@ -420,3 +431,15 @@ class TestConvergeCommand:
                    "--dim", "11", "--out", str(out)) == 2
         assert "n exceeds input dimension" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_cache_names_the_file(self, tmp_path, capsys):
+        args = ("converge", "--function", "quad1", "--method", "sir",
+                "--sizes", "100,200", "--trials", "1", "--slices", "4",
+                "--truth-size", "2000", "--out", str(tmp_path))
+        assert run(*args) == 0
+        (path,) = (tmp_path / "cache").glob("truth-*.npz")
+        path.unlink()
+        path.mkdir()
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write truth surrogate cache file {path}" in err

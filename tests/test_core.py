@@ -1,5 +1,7 @@
 """Core container types: validation, spectrum and subspace invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from ridgerec.core import (
     validate_sample_set,
 )
 from ridgerec.estimators import estimate
-from ridgerec.spectral import decompose
+from ridgerec.experiments import bootstrap_eigenvalues, summary_plot_data
+from ridgerec.measures import fit_standardizer
+from ridgerec.slicing import slice_stats
+from ridgerec.spectral import decompose, gap_profile
+from ridgerec.testfns import generate_samples, get_test_function
 
 
 class TestSampleSet:
@@ -114,6 +120,11 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(basis=np.array([[1.0], [1.0]]))
 
+    def test_vector_is_one_column(self):
+        line = Subspace(np.array([0.6, 0.8]))
+        np.testing.assert_array_equal(line.basis, [[0.6], [0.8]])
+        assert (line.ambient_dimension, line.dimension) == (2, 1)
+
 
 class TestSdrEstimate:
     @staticmethod
@@ -162,3 +173,28 @@ class TestSdrEstimate:
                     partition=good.partition,
                     n_requested=bad_n,
                 )
+
+
+@pytest.fixture(scope="module")
+def pipeline_records():
+    """One of each record the public pipeline returns, by class name."""
+    fn = get_test_function("hartmann")
+    s = generate_samples(fn, 300, 4)
+    est = estimate(s, 6, "equal-count", "save", 2)
+    records = [s, est.spectrum, est.subspace, est.partition,
+               slice_stats(s, est.partition), gap_profile(est.spectrum),
+               fn.measure, fit_standardizer(fn.measure), summary_plot_data(s, est, 2),
+               bootstrap_eigenvalues(s, 6, "equal-count", "save", 2, 0)]
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", [
+    "SampleSet", "SymmetricSpectrum", "Subspace", "SlicePartition", "SliceStats",
+    "GapProfile", "InputMeasure", "Standardizer", "SummaryPlotData", "BootstrapResult",
+])
+def test_record_arrays_are_read_only(pipeline_records, name):
+    record = pipeline_records[name]
+    arrays = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+              if isinstance(getattr(record, f.name), np.ndarray)}
+    assert arrays
+    assert [field for field, a in arrays.items() if a.flags.writeable] == []

@@ -76,6 +76,17 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="scheme"):
             small_config(scheme="quantile")
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(method="pca"), "unknown method"),
+        (dict(n_components=0), "at least 1"),
+        (dict(n_components=11), "exceeds input dimension 10"),
+    ])
+    def test_bad_study_fails_before_any_work(self, tmp_path, estimate_calls, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            run_convergence(small_config(**overrides), tmp_path)
+        assert estimate_calls == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrorMetrics:
     def test_eigenvalue_error_hand_case(self):

@@ -13,7 +13,6 @@ from ridgerec.measures import (
     generator,
     pushforward_direction,
     standardize,
-    unstandardize,
 )
 
 
@@ -130,9 +129,8 @@ class TestStandardize:
         std = fit_standardizer(measure)
         x = draw(measure, 50, seed=3)
         s = SampleSet(inputs=x, outputs=np.arange(50.0))
-        back = unstandardize(standardize(s, std), std)
-        np.testing.assert_allclose(back.inputs, x, atol=1e-12)
-        assert not back.standardized
+        z = standardize(s, std)
+        np.testing.assert_allclose(z.inputs @ std.inverse.T + std.mean, x, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         std = fit_standardizer(InputMeasure.standard_gaussian(3))
