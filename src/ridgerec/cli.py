@@ -196,9 +196,7 @@ def _obtain_samples(args: argparse.Namespace):
     s = read_samples_csv(Path(args.input))
     violations = validate_sample_set(s)
     if violations:
-        more = f"; and {len(violations) - 5} more" if len(violations) > 5 else ""
-        raise UsageError(f"ingested samples are invalid ({len(violations)} violations): "
-                         + "; ".join(violations[:5]) + more)
+        raise UsageError("ingested samples are invalid: " + "; ".join(violations))
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
         s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)

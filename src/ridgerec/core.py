@@ -2,7 +2,9 @@
 
 All containers, here and in the other modules, are frozen dataclasses
 holding read-only numpy arrays, so instances can be shared freely across
-threads.  :data:`METHODS` is the one list of estimator names.  Validation
+threads: the whitened rows that :attr:`SampleSet.inputs` computes on
+first read hold the same values whichever thread computes them.
+:data:`METHODS` is the one list of estimator names.  Validation
 of sample sets is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time
 because a malformed spectrum is always a programming error.
@@ -11,11 +13,12 @@ because a malformed spectrum is always a programming error.
 
 from __future__ import annotations
 
+import functools
 import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -60,8 +63,57 @@ def write_atomic(path: Path, data: Union[str, bytes]) -> None:
 
 
 @dataclass(frozen=True)
+class Standardizer:
+    """Affine whitening map z = W (x - mean) together with its inverse factor.
+
+    ``whitening`` is the inverse Cholesky factor of the measure's
+    covariance and ``inverse`` the Cholesky factor itself, so
+    ``whitening @ inverse = I`` and the standardized variable has exact
+    zero mean and identity covariance under the measure.
+    """
+
+    mean: np.ndarray
+    whitening: np.ndarray
+    inverse: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", _freeze(self.mean))
+        object.__setattr__(self, "whitening", _freeze(self.whitening))
+        object.__setattr__(self, "inverse", _freeze(self.inverse))
+        m = self.mean.size
+        err = np.max(np.abs(self.whitening @ self.inverse - np.eye(m)))
+        if err > 1e-10:
+            raise ValueError(f"whitening and inverse are not mutual inverses ({err:.3e})")
+
+    @classmethod
+    def identity(cls, dimension: int) -> "Standardizer":
+        """The map z = x, for inputs that are whitened already."""
+        return cls(np.zeros(dimension), np.eye(dimension), np.eye(dimension))
+
+    @functools.cached_property
+    def is_identity(self) -> bool:
+        """True when the map is z = x, so whitening by it may be skipped exactly."""
+        return not self.mean.any() and np.array_equal(self.whitening, np.eye(self.dimension))
+
+    @property
+    def dimension(self) -> int:
+        return self.mean.size
+
+
+@dataclass(frozen=True, init=False)
 class SampleSet:
-    """Paired inputs and scalar outputs, with provenance flags.
+    """Paired inputs and scalar outputs, and the map that whitens the inputs.
+
+    A set holds one representation: the ``rows`` it was given and the
+    ``standardizer`` that maps them to whitened coordinates.  That map is
+    None for raw data and the identity for rows built with
+    ``standardized=True``; :func:`ridgerec.measures.standardize` returns
+    a set over the same rows with the measure's map, copying nothing.
+
+    ``inputs`` are the rows in whitened coordinates, ``(x - mean) @ W.T``,
+    computed on first read and kept; raw sets and sets under the identity
+    return ``rows`` itself.  The estimators never read them:
+    :func:`ridgerec.slicing.slice_stats` whitens the slice moments instead.
 
     Parameters
     ----------
@@ -70,49 +122,84 @@ class SampleSet:
     outputs : (N,) array
         Scalar response per sample.
     standardized : bool
-        True when the inputs were produced by the whitening map of the
-        measures module.  This is a provenance flag, not a statistical
-        test of the sample moments.
+        True when the inputs are already whitened.  This is a provenance
+        flag, not a statistical test of the sample moments.
     """
 
-    inputs: np.ndarray
+    rows: np.ndarray
     outputs: np.ndarray
-    standardized: bool = False
+    standardizer: Optional[Standardizer]
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", _freeze(np.atleast_2d(self.inputs)))
-        object.__setattr__(self, "outputs", _freeze(np.ravel(self.outputs)))
+    def __init__(self, inputs, outputs, standardized: bool = False):
+        rows = _freeze(np.atleast_2d(inputs))
+        self._fill(rows, _freeze(np.ravel(outputs)),
+                   Standardizer.identity(rows.shape[1]) if standardized else None)
+
+    def _fill(self, rows, outputs, standardizer) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "standardizer", standardizer)
+
+    @classmethod
+    def _shared(cls, rows, outputs, standardizer: Standardizer) -> "SampleSet":
+        """A set over read-only ``rows`` and ``outputs`` as they are, without a copy."""
+        s = cls.__new__(cls)
+        s._fill(rows, outputs, standardizer)
+        return s
+
+    @functools.cached_property
+    def inputs(self) -> np.ndarray:
+        """The rows in whitened coordinates, read-only; computed once, on first read."""
+        std = self.standardizer
+        if std is None or std.is_identity:
+            return self.rows
+        z = (self.rows - std.mean) @ std.whitening.T
+        z.setflags(write=False)
+        return z
+
+    @property
+    def standardized(self) -> bool:
+        return self.standardizer is not None
 
     @property
     def n_samples(self) -> int:
-        return self.inputs.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.inputs.shape[1]
+        return self.rows.shape[1]
+
+
+def _at_rows(what: str, rows: np.ndarray) -> str:
+    """One violation for all ``rows`` that break an invariant: the row, or count and first five."""
+    if len(rows) == 1:
+        return f"{what} at row {rows[0]}"
+    shown = ", ".join(str(i) for i in rows[:5])
+    return f"{what} at {len(rows)} rows: {shown}" + (", ..." if len(rows) > 5 else "")
 
 
 def validate_sample_set(s: SampleSet) -> list[str]:
     """Check SampleSet invariants, returning a list of violations.
 
-    Each violation names the failed invariant and the offending index
-    where one exists.  An empty list means the set is well formed.  This
-    function never raises.
+    Each violation names the failed invariant once.  One that rows break
+    gives the offending row, or the number of such rows and the first
+    five.  An empty list means the set is well formed.  The stored rows
+    are checked, so no whitening is computed.  This function never raises.
     """
     violations: list[str] = []
-    if s.inputs.ndim != 2:
+    if s.rows.ndim != 2:
         violations.append("inputs not two-dimensional")
         return violations
-    if s.inputs.shape[0] != s.outputs.shape[0]:
+    if s.rows.shape[0] != s.outputs.shape[0]:
         violations.append("length mismatch")
-    if s.inputs.shape[0] < 1:
+    if s.rows.shape[0] < 1:
         violations.append("empty sample set")
-    bad_in = np.where(~np.isfinite(s.inputs).all(axis=1))[0]
-    for i in bad_in:
-        violations.append(f"non-finite entry at row {i}")
-    bad_out = np.where(~np.isfinite(s.outputs))[0]
-    for i in bad_out:
-        violations.append(f"non-finite output at row {i}")
+    bad_in = np.flatnonzero(~np.isfinite(s.rows).all(axis=1))
+    if bad_in.size:
+        violations.append(_at_rows("non-finite entry", bad_in))
+    bad_out = np.flatnonzero(~np.isfinite(s.outputs))
+    if bad_out.size:
+        violations.append(_at_rows("non-finite output", bad_out))
     return violations
 
 

@@ -9,8 +9,11 @@ up directions along which the conditional spread changes, at the price of
 needing more samples per slice for stable covariance estimates.
 
 Both formulas assume the inputs were standardized to zero mean and
-identity covariance; :func:`estimate` refuses sample sets that were not
-produced by the whitening pipeline rather than guessing.
+identity covariance; :func:`estimate` refuses sample sets that carry no
+standardizer rather than guessing.  It never whitens the N input rows:
+SIR and SAVE are affine-equivariant, so :func:`~ridgerec.slicing.slice_stats`
+takes the R slice moments of the stored rows and maps them through the
+set's standardizer, W (mu_r - mean) and W Sigma_r W', at O(R m^3) cost.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def estimate(
     Parameters
     ----------
     s : SampleSet
-        Must carry the ``standardized`` provenance flag; the estimator
-        formulas are only meaningful for whitened inputs.
+        Must carry a standardizer (``s.standardized``); the estimator
+        formulas are only meaningful for whitened inputs.  Its whitened
+        ``inputs`` are not read.
     n_slices, scheme : int, str
         Slicing configuration ("fixed" or "equal-count").
     method : str

@@ -32,8 +32,9 @@ from ridgerec.slicing import SCHEMES
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
-#: Layout of a cached surrogate file, part of its key.
-SURROGATE_FORMAT = 1
+#: Layout and summation order of a cached surrogate file, part of its key.
+#: Format 2: slice moments are taken on raw rows and whitened afterwards.
+SURROGATE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ class StudyConfig:
     No field has a default; the ``converge`` flags hold them.  Construction,
     before any surrogate is drawn, checks for a known ``method`` and
     ``scheme``, ``n_components`` within the input dimension of ``function``,
-    ascending ``sizes``, and a surrogate at least 10x the largest size so
-    its own error is negligible on the study's scale.
+    ascending ``sizes``, a surrogate at least 10x the largest size so
+    its own error is negligible on the study's scale, and, for
+    equal-count slicing, no more slices than the smallest size has samples.
     """
 
     function: str
@@ -78,6 +80,9 @@ class StudyConfig:
             raise ValueError("truth surrogate size must be at least 10x the largest size")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "equal-count" and self.n_slices > self.sizes[0]:
+            raise ValueError(f"{self.n_slices} equal-count slices need at least as many "
+                             f"samples, but the smallest size is {self.sizes[0]}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, _freeze
+from ridgerec.core import SampleSet, Standardizer, _freeze
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,39 +136,11 @@ def draw(measure: InputMeasure, n_samples: int, seed: int) -> np.ndarray:
 # Standardization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Affine whitening map z = W (x - mean) together with its inverse factor.
-
-    ``whitening`` is the inverse Cholesky factor of the measure's
-    covariance and ``inverse`` the Cholesky factor itself, so
-    ``whitening @ inverse = I`` and the standardized variable has exact
-    zero mean and identity covariance under the measure.
-    """
-
-    mean: np.ndarray
-    whitening: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _freeze(self.mean))
-        object.__setattr__(self, "whitening", _freeze(self.whitening))
-        object.__setattr__(self, "inverse", _freeze(self.inverse))
-        m = self.mean.size
-        err = np.max(np.abs(self.whitening @ self.inverse - np.eye(m)))
-        if err > 1e-10:
-            raise ValueError(f"whitening and inverse are not mutual inverses ({err:.3e})")
-
-    @property
-    def dimension(self) -> int:
-        return self.mean.size
-
-
 def fit_standardizer(measure: InputMeasure) -> Standardizer:
     """Build the exact standardizer of a measure from its analytic moments."""
     m = measure.dimension
     if measure.kind == "standard-gaussian":
-        return Standardizer(np.zeros(m), np.eye(m), np.eye(m))
+        return Standardizer.identity(m)
     if measure.kind == "gaussian":
         L = np.linalg.cholesky(measure.cov)
         W = np.linalg.solve(L, np.eye(m))
@@ -181,14 +153,20 @@ def fit_standardizer(measure: InputMeasure) -> Standardizer:
 
 
 def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
-    """Map a sample set's inputs through z = W (x - mean); outputs unchanged."""
+    """The sample set read through z = W (x - mean); outputs unchanged.
+
+    The cost is independent of N: the result shares ``s``'s frozen rows
+    and carries ``std``, with no copy and no matmul.  Its ``inputs``
+    whiten the rows on first read; the estimators never read them and
+    whiten the R slice moments instead.  A set that carries a
+    standardizer already has ``std`` applied to its whitened ``inputs``.
+    """
     if s.dimension != std.dimension:
         raise ValueError(
             f"dimension mismatch: samples have m={s.dimension}, "
             f"standardizer has m={std.dimension}"
         )
-    z = (s.inputs - std.mean) @ std.whitening.T
-    return SampleSet(inputs=z, outputs=s.outputs, standardized=True)
+    return SampleSet._shared(s.inputs, s.outputs, std)
 
 
 def pushforward_direction(std: Standardizer, w_standardized: np.ndarray) -> np.ndarray:

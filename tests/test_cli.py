@@ -171,9 +171,8 @@ class TestEstimateCommands:
         assert run("sir", "--input", str(csv), "--assume-standardized",
                    "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert "20000 violations" in err
-        assert "non-finite entry at row 4;" in err
-        assert "row 5;" not in err
+        assert "non-finite entry at 20000 rows: 0, 1, 2, 3, 4, ..." in err
+        assert ", 5" not in err
         assert len(err) < 400
 
     def test_ingest_without_standardization_info_rejected(self, tmp_path, capsys):
@@ -430,6 +429,14 @@ class TestConvergeCommand:
         assert run("converge", "--function", "quad1", "--sizes", "100,200",
                    "--dim", "11", "--out", str(out)) == 2
         assert "n exceeds input dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_slices_than_the_smallest_size_refused_before_any_draw(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("converge", "--function", "quad1", "--method", "sir",
+                   "--sizes", "10,20", "--slices", "15", "--truth-size", "200",
+                   "--trials", "1", "--out", str(out)) == 2
+        assert "smallest size is 10" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_cache_names_the_file(self, tmp_path, capsys):

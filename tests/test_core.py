@@ -39,6 +39,14 @@ class TestSampleSet:
         s = SampleSet(inputs=[[0.0], [0.0]], outputs=[1.0, np.inf])
         assert validate_sample_set(s) == ["non-finite output at row 1"]
 
+    def test_many_bad_rows_give_one_entry_with_the_count(self):
+        s = SampleSet(inputs=np.full((10**6, 2), np.nan), outputs=np.zeros(10**6))
+        assert validate_sample_set(s) == ["non-finite entry at 1000000 rows: 0, 1, 2, 3, 4, ..."]
+
+    def test_two_bad_outputs_listed(self):
+        s = SampleSet(inputs=np.zeros((4, 1)), outputs=[np.nan, 1.0, 2.0, np.inf])
+        assert validate_sample_set(s) == ["non-finite output at 2 rows: 0, 3"]
+
     def test_empty_set_flagged(self):
         s = SampleSet(inputs=np.empty((0, 3)), outputs=[])
         assert "empty sample set" in validate_sample_set(s)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ridgerec.core import PSD_TOL, SampleSet
 from ridgerec.estimators import estimate, make_partition, save_matrix, sir_matrix
-from ridgerec.measures import derive_seed, generator
+from ridgerec.measures import (InputMeasure, derive_seed, draw, fit_standardizer, generator,
+                               standardize)
 from ridgerec.slicing import SCHEMES, partition_equal_count, slice_stats
 from ridgerec.spectral import orthonormal_basis, subspace_distance
 
@@ -265,3 +266,83 @@ class TestEstimatorProperties:
         a = MATRICES[method](slice_stats(standardized_set(x, y), p))
         b = MATRICES[method](slice_stats(standardized_set(x, g(y)), q))
         assert a.tobytes() == b.tobytes()
+
+
+def whitened_rows(x, std):
+    """The whitened rows as ``SampleSet.inputs`` defines them."""
+    return (x - std.mean) @ std.whitening.T
+
+
+def ridge_response(z, seed):
+    """A response with curvature and tilt along three random whitened directions."""
+    frame = orthonormal_basis(generator(seed).standard_normal((z.shape[1], 3)))
+    t = z @ frame
+    return t[:, 0] ** 2 + 0.5 * t[:, 1] ** 2 + t[:, 2]
+
+
+def spd(rng, m):
+    a = rng.standard_normal((m, m))
+    return a @ a.T / m + np.eye(m)
+
+
+#: One measure per kind, plus the wide m=200 Gaussian of the benchmark's wide workload.
+PARITY_MEASURES = {
+    "standard-gaussian": lambda rng: InputMeasure.standard_gaussian(10),
+    "gaussian": lambda rng: InputMeasure.gaussian(rng.standard_normal(5), spd(rng, 5)),
+    "uniform-box": lambda rng: InputMeasure.uniform_box([-3.0, 0.0, 1.0, 10.0],
+                                                        [-1.0, 4.0, 1.5, 20.0]),
+    "wide-gaussian": lambda rng: InputMeasure.gaussian(rng.standard_normal(200), spd(rng, 200)),
+}
+
+
+class TestMomentWhitening:
+    """``estimate`` whitens slice moments; the result matches whitening the rows first."""
+
+    @pytest.mark.parametrize("kind", sorted(PARITY_MEASURES))
+    def test_estimate_matches_whitened_rows(self, kind):
+        rng = generator(derive_seed(30, sorted(PARITY_MEASURES).index(kind)))
+        measure = PARITY_MEASURES[kind](rng)
+        std = fit_standardizer(measure)
+        x = draw(measure, 4000, seed=derive_seed(31, measure.dimension))
+        z = whitened_rows(x, std)
+        y = ridge_response(z, derive_seed(32, measure.dimension))
+        lazy = standardize(SampleSet(inputs=x, outputs=y), std)
+        eager = SampleSet(inputs=z, outputs=y, standardized=True)
+        for method in MATRICES:
+            for scheme in SCHEMES:
+                a = estimate(lazy, 6, scheme, method, 3).spectrum
+                b = estimate(eager, 6, scheme, method, 3).spectrum
+                if std.is_identity:
+                    assert a.matrix.tobytes() == b.matrix.tobytes()
+                    assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+                scale = max(1.0, np.max(np.abs(b.matrix)))
+                np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12 * scale)
+
+    @given(case=sliced_samples(), method=st.sampled_from(sorted(MATRICES)),
+           scheme=st.sampled_from(SCHEMES), offset=st.floats(-10, 10))
+    def test_any_affine_measure(self, case, method, scheme, offset):
+        """Random means and SPD covariances: whitened moments match whitened rows."""
+        z0, y, r, rng = case
+        m = z0.shape[1]
+        measure = InputMeasure.gaussian(offset + rng.standard_normal(m), spd(rng, m))
+        std = fit_standardizer(measure)
+        x = measure.mean + z0 @ std.inverse.T
+        p = make_partition(y, r, scheme)
+        lazy = MATRICES[method](slice_stats(standardize(SampleSet(inputs=x, outputs=y), std), p))
+        eager = MATRICES[method](slice_stats(standardized_set(whitened_rows(x, std), y), p))
+        scale = max(1.0, np.max(np.abs(eager)))
+        np.testing.assert_allclose(lazy, eager, rtol=0, atol=1e-12 * scale)
+
+    def test_estimate_never_whitens_the_rows(self, monkeypatch):
+        measure = PARITY_MEASURES["gaussian"](generator(33))
+        x = draw(measure, 500, seed=34)
+        ranks = np.argsort(np.argsort(x[:, 0])).astype(float)  # even fixed-width slices
+        s = standardize(SampleSet(inputs=x, outputs=ranks), fit_standardizer(measure))
+
+        def refuse(self):
+            raise AssertionError("the estimate path read the whitened rows")
+
+        monkeypatch.setattr(SampleSet, "inputs", property(refuse))
+        for method in MATRICES:
+            for scheme in SCHEMES:
+                estimate(s, 4, scheme, method, 2)

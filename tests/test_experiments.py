@@ -80,12 +80,17 @@ class TestStudyConfig:
         (dict(method="pca"), "unknown method"),
         (dict(n_components=0), "at least 1"),
         (dict(n_components=11), "exceeds input dimension 10"),
+        (dict(n_slices=201), "smallest size is 200"),
     ])
     def test_bad_study_fails_before_any_work(self, tmp_path, estimate_calls, overrides, match):
         with pytest.raises(ValueError, match=match):
             run_convergence(small_config(**overrides), tmp_path)
         assert estimate_calls == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_fixed_slices_may_outnumber_the_smallest_size(self):
+        """Fixed-width slicing merges empty slices, so any count is accepted."""
+        assert small_config(scheme="fixed", n_slices=201).n_slices == 201
 
 
 class TestErrorMetrics:
@@ -122,6 +127,20 @@ class TestTruthSurrogate:
         second = truth_surrogate(other, tmp_path)
         assert len(estimate_calls) == 1
         assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
+
+    def test_format_1_file_is_rebuilt(self, tmp_path, monkeypatch, estimate_calls):
+        """Format 2 whitens slice moments, not rows, so format-1 spectra differ in the last bits."""
+        assert experiments.SURROGATE_FORMAT == 2
+        cfg = small_config(function="hartmann", n_components=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "SURROGATE_FORMAT", 1)
+            truth_surrogate(cfg, tmp_path)
+        assert len(list(tmp_path.glob("truth-*.npz"))) == 1
+        truth_surrogate(cfg, tmp_path)
+        assert len(estimate_calls) == 2
+        assert len(list(tmp_path.glob("truth-*.npz"))) == 2
+        truth_surrogate(cfg, tmp_path)
+        assert len(estimate_calls) == 2
 
     def test_truncated_file_is_rebuilt(self, tmp_path, estimate_calls):
         clean = run_convergence(small_config(), tmp_path / "clean")

@@ -138,6 +138,35 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(s, std)
 
+    def test_shares_the_rows(self):
+        """Standardizing copies nothing: the result reads its parent's frozen arrays."""
+        std = fit_standardizer(InputMeasure.gaussian([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]))
+        s = SampleSet(inputs=np.arange(8.0).reshape(4, 2), outputs=np.arange(4.0))
+        z = standardize(s, std)
+        assert np.shares_memory(z.rows, s.rows)
+        assert np.shares_memory(z.outputs, s.outputs)
+        assert z.standardizer is std
+
+    @pytest.mark.parametrize("measure", [
+        InputMeasure.gaussian([1.0, -2.0, 0.5], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                                 [0.0, 0.2, 3.0]]),
+        InputMeasure.uniform_box([0.0, -5.0, 2.0], [1.0, 5.0, 2.5]),
+    ], ids=["gaussian", "uniform-box"])
+    def test_inputs_are_the_whitened_rows_bit_for_bit(self, measure):
+        std = fit_standardizer(measure)
+        x = draw(measure, 300, seed=5)
+        z = standardize(SampleSet(inputs=x, outputs=np.zeros(300)), std)
+        assert z.inputs.tobytes() == ((x - std.mean) @ std.whitening.T).tobytes()
+        assert not z.inputs.flags.writeable
+        assert z.inputs is z.inputs
+
+    def test_identity_inputs_are_the_rows(self):
+        s = SampleSet(inputs=np.ones((3, 2)), outputs=np.zeros(3), standardized=True)
+        assert s.standardizer.is_identity
+        assert s.inputs is s.rows
+        z = standardize(s, fit_standardizer(InputMeasure.standard_gaussian(2)))
+        assert z.inputs is s.rows
+
 
 class TestPushforwardDirection:
     def test_identity_preserves(self):
