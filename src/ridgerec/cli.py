@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -65,12 +64,28 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+#: Rows formatted per string; bounds the text held at once, not the bytes written.
+CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
-    """Header line plus one row per table row, floats to 17 significant digits."""
-    buf = io.BytesIO()
-    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header),
-               comments="")
-    write_atomic(path, buf.getvalue())
+    """Header line plus one row per table row, floats to 17 significant digits.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``.
+    The row format is built once and applied to blocks of at most
+    ``CSV_BLOCK_ROWS`` rows at a time, and each block goes to the file
+    as soon as it is formatted, so no per-row call is made and no more
+    than one block's text is held.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("ascii")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            yield ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+
+    write_atomic(path, chunks())
 
 
 def write_samples_csv(path: Path, s: SampleSet) -> None:

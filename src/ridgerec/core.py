@@ -18,7 +18,7 @@ import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
 
@@ -43,19 +43,24 @@ def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def write_atomic(path: Path, data: Union[str, bytes]) -> None:
-    """Write ``data`` (str as UTF-8) to ``path`` through a temp file and a rename.
+def write_atomic(path: Path, data: Union[str, bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
 
-    Readers see the old file or the new one, never a partial write.  The
-    temp file is opened like any new file, so the result honours the umask.
+    ``data`` is a str (written as UTF-8), bytes, or an iterable of bytes
+    chunks written in order, so a large file need not be held whole.
+    Readers see the old file or the new one, never a partial write, also
+    when producing a chunk raises.  The temp file is opened like any new
+    file, so the result honours the umask.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -141,7 +146,7 @@ class SampleSet:
         object.__setattr__(self, "standardizer", standardizer)
 
     @classmethod
-    def _shared(cls, rows, outputs, standardizer: Standardizer) -> "SampleSet":
+    def _shared(cls, rows, outputs, standardizer: Optional[Standardizer]) -> "SampleSet":
         """A set over read-only ``rows`` and ``outputs`` as they are, without a copy."""
         s = cls.__new__(cls)
         s._fill(rows, outputs, standardizer)

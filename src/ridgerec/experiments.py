@@ -46,7 +46,8 @@ class StudyConfig:
     ``scheme``, ``n_components`` within the input dimension of ``function``,
     ascending ``sizes``, a surrogate at least 10x the largest size so
     its own error is negligible on the study's scale, and, for
-    equal-count slicing, no more slices than the smallest size has samples.
+    equal-count slicing, no more slices than the smallest size has samples
+    and, for SAVE, at least two samples per slice at the smallest size.
     """
 
     function: str
@@ -83,6 +84,11 @@ class StudyConfig:
         if self.scheme == "equal-count" and self.n_slices > self.sizes[0]:
             raise ValueError(f"{self.n_slices} equal-count slices need at least as many "
                              f"samples, but the smallest size is {self.sizes[0]}")
+        if (self.scheme == "equal-count" and self.method == "save"
+                and self.sizes[0] // self.n_slices < 2):
+            raise ValueError(f"SAVE needs at least 2 samples per slice, but {self.n_slices} "
+                             f"equal-count slices of the smallest size {self.sizes[0]} "
+                             f"leave a slice with one")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ moments converge.
 
 A partition is stored flat: a permutation ``order`` that lists the sample
 indices slice by slice, and ``offsets`` marking where each slice starts in
-it.  Equal-count slicing takes ``order`` from its argsort of the responses,
-fixed-width slicing from a stable argsort of the bin index.
+it.  Both schemes give the stable sort order: equal-count slicing sorts
+the responses and then the sample indices inside each run of ties,
+fixed-width slicing stably sorts the bin index held in the narrowest
+unsigned type, which numpy radix-sorts.
 
 Conventions that make results exactly reproducible:
 
@@ -166,7 +168,7 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     nonempty = np.flatnonzero(counts)
     return SlicePartition(
         boundaries=np.concatenate(([bounds[0]], bounds[nonempty[1:]], [bounds[-1]])),
-        order=np.argsort(idx, kind="stable"),
+        order=np.argsort(idx.astype(np.min_scalar_type(n_slices - 1)), kind="stable"),
         offsets=np.concatenate(([0], np.cumsum(counts[nonempty]))),
         scheme="fixed",
     )
@@ -185,8 +187,19 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
         raise ValueError("n_slices must be at least 1")
     if n_slices > n:
         raise ValueError("more slices than samples")
-    order = np.argsort(y, kind="stable")
+    order = np.argsort(y)
     ys = y[order]
+    tie = ys[1:] == ys[:-1]
+    if tie.any():
+        # The default sort may leave equal responses in any order; sorting
+        # the indices inside each tie run gives exactly the stable order.
+        in_run = np.zeros(n, dtype=bool)
+        in_run[1:] |= tie
+        in_run[:-1] |= tie
+        pos = np.flatnonzero(in_run)
+        run_id = np.cumsum(~np.concatenate(([False], tie))[pos])
+        order[pos] = np.sort(run_id * n + order[pos]) % n
+        ys[pos] = y[order[pos]]  # -0.0 and 0.0 tie but differ in sign
     cuts = []
     prev = 0
     for k in range(1, n_slices):

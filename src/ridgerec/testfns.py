@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Subspace
+from ridgerec.core import SampleSet, Subspace, _freeze
 from ridgerec.measures import (
     InputMeasure,
     Standardizer,
@@ -236,11 +236,14 @@ def generate_samples(
     """Draw inputs from the model's measure, evaluate, optionally whiten.
 
     The response is always evaluated on the raw draws (the coordinates
-    the evaluator expects); only the stored inputs are whitened.
+    the evaluator expects); only the stored inputs are whitened.  The set
+    adopts the fresh draw, made read-only, without a copy; the evaluator
+    may be caller code, so its output is frozen as a copy.
     """
     x = draw(fn.measure, n_samples, seed)
-    y = fn.evaluator(x)
-    s = SampleSet(inputs=x, outputs=y, standardized=False)
+    x.setflags(write=False)
+    y = _freeze(np.ravel(fn.evaluator(x)))
+    s = SampleSet._shared(x, y, None)
     if standardized:
         s = standardize(s, fit_standardizer(fn.measure))
     return s

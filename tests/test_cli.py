@@ -1,5 +1,6 @@
 """Command-line artifacts, exit codes, and determinism."""
 
+import io
 import json
 import os
 import stat
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ridgerec
-from ridgerec.cli import main, read_samples_csv, write_samples_csv
+from ridgerec.cli import CSV_BLOCK_ROWS, _write_csv, main, read_samples_csv, write_samples_csv
 from ridgerec.core import SampleSet
 
 
@@ -115,6 +116,33 @@ class TestCsvRoundTrip:
             back = read_samples_csv(path)
         assert back.inputs.tobytes() == s.inputs.tobytes()
         assert back.outputs.tobytes() == s.outputs.tobytes()
+
+    @staticmethod
+    def _savetxt_bytes(header, table):
+        buf = io.BytesIO()
+        np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="")
+        return buf.getvalue()
+
+    def _assert_savetxt_bytes(self, path, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        _write_csv(path, header, table)
+        assert path.read_bytes() == self._savetxt_bytes(header, table)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (CSV_BLOCK_ROWS, 3),
+                                       (2 * CSV_BLOCK_ROWS + 1, 3)])
+    def test_blocks_give_the_savetxt_bytes(self, tmp_path, shape):
+        """Empty, 1x1, one-block and past-a-block tables, with every special value."""
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e-310, 0.1]
+        table = np.resize(np.array(special + [np.pi, -2.5, 1e22]), shape)
+        self._assert_savetxt_bytes(tmp_path / "t.csv", table)
+
+    @given(data=st.data())
+    def test_any_table_gives_the_savetxt_bytes(self, data):
+        n, m = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 6))
+        table = data.draw(arrays(np.float64, (n, m)))
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_savetxt_bytes(Path(tmp) / "t.csv", table)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -437,6 +465,14 @@ class TestConvergeCommand:
                    "--sizes", "10,20", "--slices", "15", "--truth-size", "200",
                    "--trials", "1", "--out", str(out)) == 2
         assert "smallest size is 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_save_one_sample_slices_refused_before_any_draw(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("converge", "--function", "quad1", "--method", "save",
+                   "--sizes", "10,20", "--slices", "8", "--truth-size", "200",
+                   "--trials", "1", "--out", str(out)) == 2
+        assert "SAVE needs at least 2 samples per slice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_cache_names_the_file(self, tmp_path, capsys):

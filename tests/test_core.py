@@ -11,6 +11,7 @@ from ridgerec.core import (
     Subspace,
     SymmetricSpectrum,
     validate_sample_set,
+    write_atomic,
 )
 from ridgerec.estimators import estimate
 from ridgerec.experiments import bootstrap_eigenvalues, summary_plot_data
@@ -68,10 +69,10 @@ class TestSampleSet:
             s.outputs[0] = 9.0
 
     def test_construction_copies_input(self):
-        raw = np.array([[1.0, 2.0]])
-        s = SampleSet(inputs=raw, outputs=[3.0])
-        raw[0, 0] = 99.0
-        assert s.inputs[0, 0] == 1.0
+        raw, out = np.array([[1.0, 2.0]]), np.array([3.0])
+        s = SampleSet(inputs=raw, outputs=out)
+        raw[0, 0], out[0] = 99.0, 99.0
+        assert s.inputs[0, 0] == 1.0 and s.outputs[0] == 3.0
 
 
 class TestSymmetricSpectrum:
@@ -206,3 +207,23 @@ def test_record_arrays_are_read_only(pipeline_records, name):
               if isinstance(getattr(record, f.name), np.ndarray)}
     assert arrays
     assert [field for field, a in arrays.items() if a.flags.writeable] == []
+
+
+class TestWriteAtomic:
+    def test_chunks_written_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(path, (bytes([65 + k]) * 3 for k in range(4)))
+        assert path.read_bytes() == b"AAABBBCCCDDD"
+
+    def test_failing_chunk_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(path, "old\n")
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

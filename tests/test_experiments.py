@@ -81,6 +81,7 @@ class TestStudyConfig:
         (dict(n_components=0), "at least 1"),
         (dict(n_components=11), "exceeds input dimension 10"),
         (dict(n_slices=201), "smallest size is 200"),
+        (dict(method="save", n_slices=101), "SAVE needs at least 2 samples per slice"),
     ])
     def test_bad_study_fails_before_any_work(self, tmp_path, estimate_calls, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -91,6 +92,10 @@ class TestStudyConfig:
     def test_fixed_slices_may_outnumber_the_smallest_size(self):
         """Fixed-width slicing merges empty slices, so any count is accepted."""
         assert small_config(scheme="fixed", n_slices=201).n_slices == 201
+
+    def test_save_takes_two_samples_in_every_slice_of_the_smallest_size(self):
+        assert small_config(method="save", n_slices=100).n_slices == 100
+        assert small_config(method="save", scheme="fixed", n_slices=101).n_slices == 101
 
 
 class TestErrorMetrics:

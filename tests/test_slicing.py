@@ -284,6 +284,59 @@ class TestLayoutProperties:
             assert lower.max() < upper.min()
 
 
+@st.composite
+def tie_heavy_responses(draw):
+    """Up to a few thousand responses made to tie, and R <= N.
+
+    The values are a few integer levels, a mix of 0.0, -0.0 and 1.0, one
+    repeated value, or neighbouring doubles a few ulps apart; distinct
+    values are drawn too.
+    """
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["levels", "signed zeros", "constant", "ulps", "distinct"]))
+    if kind == "levels":
+        y = rng.integers(0, draw(st.integers(1, 30)), n).astype(float)
+    elif kind == "signed zeros":
+        y = rng.choice([0.0, -0.0, 1.0], n)
+    elif kind == "constant":
+        y = np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    elif kind == "ulps":
+        y = 1.0 + rng.integers(0, 4, n) * np.spacing(1.0)
+    else:
+        y = rng.standard_normal(n)
+    return y, draw(st.integers(1, min(n, 60)))
+
+
+class TestStableOrder:
+    """Both schemes list each slice's samples in ascending index order."""
+
+    @given(case=tie_heavy_responses())
+    def test_equal_count_order_is_the_stable_argsort(self, case):
+        y, r = case
+        p, stable = partition_equal_count(y, r), np.argsort(y, kind="stable")
+        np.testing.assert_array_equal(p.order, stable)
+        # -0.0 ties 0.0, so only the stable order fixes the outer boundaries' bits.
+        assert p.boundaries[[0, -1]].tobytes() == y[stable[[0, -1]]].tobytes()
+
+    @given(case=tie_heavy_responses())
+    def test_fixed_order_is_the_stable_argsort_of_the_slice_index(self, case):
+        y, r = case
+        p = partition_fixed(y, r)
+        label = np.empty(len(y), dtype=int)
+        for k, members in enumerate(slice_membership(y, p.boundaries)):
+            label[members] = k
+        np.testing.assert_array_equal(p.order, np.argsort(label, kind="stable"))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_signed_zeros_give_the_stable_outer_boundaries(self, seed):
+        y = np.random.default_rng(seed).choice([0.0, -0.0, 1.0], 1000)
+        stable = np.argsort(y, kind="stable")
+        p = partition_equal_count(y, 7)
+        np.testing.assert_array_equal(p.order, stable)
+        assert p.boundaries[[0, -1]].tobytes() == y[stable[[0, -1]]].tobytes()
+
+
 @given(case=responses_and_slice_count(ties=False))
 def test_equal_count_balanced_without_ties(case):
     y, r = case

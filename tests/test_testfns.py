@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ridgerec.measures import fit_standardizer
+import ridgerec.testfns
+from ridgerec.measures import draw, fit_standardizer
 from ridgerec.testfns import (
     TEST_FUNCTION_NAMES,
     canonical_quad1_direction,
@@ -246,3 +247,31 @@ class TestGenerateSamples:
         raw = generate_samples(fn, 30, seed=2, standardized=False)
         std = generate_samples(fn, 30, seed=2, standardized=True)
         np.testing.assert_allclose(raw.inputs, std.inputs, atol=1e-14)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_rows_are_the_draw_made_read_only(self, monkeypatch, standardized):
+        draws = []
+
+        def recording_draw(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(ridgerec.testfns, "draw", recording_draw)
+        s = generate_samples(get_test_function("hartmann"), 40, seed=3,
+                             standardized=standardized)
+        assert s.rows is draws[0]
+        assert not s.rows.flags.writeable and not s.outputs.flags.writeable
+
+    def test_evaluator_output_is_copied(self):
+        fn = get_test_function("quad1")
+        returned = []
+
+        def evaluator(x):
+            returned.append(fn.evaluator(x))
+            return returned[-1]
+
+        kept = ridgerec.testfns.TestFunction("kept", evaluator, fn.measure, fn.true_subspace)
+        s = generate_samples(kept, 10, seed=1)
+        before = s.outputs.copy()
+        returned[0][:] = -1.0
+        np.testing.assert_array_equal(s.outputs, before)
