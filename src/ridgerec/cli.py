@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import METHODS, SampleSet, validate_sample_set, write_atomic
+from ridgerec.core import METHODS, SampleSet, Standardizer, validate_sample_set, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
 from ridgerec.measures import InputMeasure, fit_standardizer, standardize
@@ -214,19 +214,18 @@ def _obtain_samples(args: argparse.Namespace):
         raise UsageError("ingested samples are invalid: " + "; ".join(violations))
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
-        s = SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True)
+        std = Standardizer.identity(s.dimension)
     elif args.measure is not None:
         std = fit_standardizer(measure_from_spec(args.measure))
         if std.dimension != s.dimension:
             raise UsageError(f"measure spec has dimension {std.dimension}, but the "
                              f"samples have {s.dimension} input columns")
-        s = standardize(s, std)
     else:
         raise UsageError(
             "ingested samples need either --assume-standardized or a "
             "\"measure\" spec in the config file to standardize against"
         )
-    return s, args.input
+    return standardize(s, std), args.input
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in p_est:
         p.add_argument("--input", help="ingest a samples.csv instead of generating")
         p.add_argument("--assume-standardized", action="store_true",
-                       help="treat ingested inputs as already whitened")
+                       help="treat ingested inputs as already whitened (the identity map)")
         p.set_defaults(measure=None)  # config-file only: the spec to whiten against
     for p in [*p_est, p_conv]:
         p.add_argument("--slices", type=_positive_int, help="slice count (default: sqrt rule)")

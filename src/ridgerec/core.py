@@ -112,8 +112,9 @@ class SampleSet:
     A set holds one representation: the ``rows`` it was given and the
     ``standardizer`` that maps them to whitened coordinates.  That map is
     None for raw data and the identity for rows built with
-    ``standardized=True``; :func:`ridgerec.measures.standardize` returns
-    a set over the same rows with the measure's map, copying nothing.
+    ``standardized=True``.  :func:`ridgerec.measures.standardize` gives a
+    raw set, once, the measure's map over the same rows, copying nothing;
+    it refuses a set that has a map already.
 
     ``inputs`` are the rows in whitened coordinates, ``(x - mean) @ W.T``,
     computed on first read and kept; raw sets and sets under the identity
@@ -147,7 +148,9 @@ class SampleSet:
 
     @classmethod
     def _shared(cls, rows, outputs, standardizer: Optional[Standardizer]) -> "SampleSet":
-        """A set over read-only ``rows`` and ``outputs`` as they are, without a copy."""
+        """A set that adopts ``rows`` and ``outputs`` without a copy and makes them read-only."""
+        rows.setflags(write=False)
+        outputs.setflags(write=False)
         s = cls.__new__(cls)
         s._fill(rows, outputs, standardizer)
         return s

@@ -42,12 +42,12 @@ class StudyConfig:
     """Everything that determines a convergence study.
 
     No field has a default; the ``converge`` flags hold them.  Construction,
-    before any surrogate is drawn, checks for a known ``method`` and
-    ``scheme``, ``n_components`` within the input dimension of ``function``,
-    ascending ``sizes``, a surrogate at least 10x the largest size so
-    its own error is negligible on the study's scale, and, for
-    equal-count slicing, no more slices than the smallest size has samples
-    and, for SAVE, at least two samples per slice at the smallest size.
+    before any surrogate is drawn, checks for at least one slice, a known
+    ``method`` and ``scheme``, ``n_components`` within the input dimension
+    of ``function``, ascending ``sizes``, a surrogate at least 10x the
+    largest size so its own error is negligible on the study's scale,
+    and, for equal-count slicing, no more slices than the smallest size
+    has samples and, for SAVE, at least two samples per slice there.
     """
 
     function: str
@@ -63,6 +63,8 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        if self.n_slices < 1:
+            raise ValueError("n_slices must be at least 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         m = get_test_function(self.function).dimension
@@ -227,8 +229,6 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
 class GapDependenceReport:
     """Comparison of mean subspace errors at two truncation dimensions."""
 
-    n_small_gap_side: int
-    n_large_gap_side: int
     mean_dist_large_gap: float
     mean_dist_small_gap: float
 
@@ -259,12 +259,7 @@ def gap_dependence_check(
             raise ValueError(f"studies differ in {f}; gap comparison requires a shared setup")
     da = float(np.mean([r.subspace_dist for r in study_large_gap.records]))
     db = float(np.mean([r.subspace_dist for r in study_small_gap.records]))
-    return GapDependenceReport(
-        n_small_gap_side=b.n_components,
-        n_large_gap_side=a.n_components,
-        mean_dist_large_gap=da,
-        mean_dist_small_gap=db,
-    )
+    return GapDependenceReport(mean_dist_large_gap=da, mean_dist_small_gap=db)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +299,11 @@ def bootstrap_eigenvalues(
 
     Each resample draws N index pairs with replacement and reruns the
     whole pipeline, including re-slicing, so the ranges reflect slicing
-    variability as well as moment noise.  The full spectrum is returned,
-    so no subspace dimension is asked for.
+    variability as well as moment noise.  A resample takes the stored rows
+    and outputs at those indices with ``s``'s standardizer, so it is
+    whitened through its slice moments like the point estimate, and the
+    whitened rows are never formed.  The full spectrum is returned, so no
+    subspace dimension is asked for.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -314,11 +312,7 @@ def bootstrap_eigenvalues(
     stack = np.empty((n_resamples, point.size))
     for b in range(n_resamples):
         idx = rng.integers(0, s.n_samples, size=s.n_samples)
-        res = SampleSet(
-            inputs=s.inputs[idx],
-            outputs=s.outputs[idx],
-            standardized=s.standardized,
-        )
+        res = SampleSet._shared(s.rows[idx], s.outputs[idx], s.standardizer)
         stack[b] = estimate(res, n_slices, scheme, method, 1).spectrum.eigenvalues
     return BootstrapResult(
         n_resamples=n_resamples,

@@ -153,20 +153,22 @@ def fit_standardizer(measure: InputMeasure) -> Standardizer:
 
 
 def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
-    """The sample set read through z = W (x - mean); outputs unchanged.
+    """The raw sample set read through z = W (x - mean); outputs unchanged.
 
     The cost is independent of N: the result shares ``s``'s frozen rows
     and carries ``std``, with no copy and no matmul.  Its ``inputs``
     whiten the rows on first read; the estimators never read them and
-    whiten the R slice moments instead.  A set that carries a
-    standardizer already has ``std`` applied to its whitened ``inputs``.
+    whiten the R slice moments instead.  A set is whitened once, from its
+    stored rows, so one that carries a standardizer already is refused.
     """
+    if s.standardized:
+        raise ValueError("sample set is standardized already; standardize its raw set once")
     if s.dimension != std.dimension:
         raise ValueError(
             f"dimension mismatch: samples have m={s.dimension}, "
             f"standardizer has m={std.dimension}"
         )
-    return SampleSet._shared(s.inputs, s.outputs, std)
+    return SampleSet._shared(s.rows, s.outputs, std)
 
 
 def pushforward_direction(std: Standardizer, w_standardized: np.ndarray) -> np.ndarray:

@@ -195,39 +195,38 @@ def hartmann_true_subspace(standardizer: Optional[Standardizer] = None) -> Subsp
 # Canonical instances and sampling
 # ---------------------------------------------------------------------------
 
+def _quad1():
+    b = canonical_quad1_direction()
+    return functools.partial(quad1, b), InputMeasure.standard_gaussian(QUAD_DIMENSION), Subspace(b)
+
+
+def _quad3():
+    B, b = canonical_quad3_coefficients()
+    return (functools.partial(quad3, B, b), InputMeasure.standard_gaussian(QUAD_DIMENSION),
+            Subspace(orthonormal_basis(np.column_stack([B, b]))))
+
+
+def _hartmann():
+    def log_input_field(z: np.ndarray) -> np.ndarray:
+        return hartmann_b_ind(np.exp(np.atleast_2d(z)))
+
+    return (log_input_field, InputMeasure.gaussian(HARTMANN_LOG_MEAN, HARTMANN_LOG_COV),
+            hartmann_true_subspace())
+
+
+#: The built-in models: each name with the builder of its canonical
+#: instance's evaluator, measure and true subspace.
+_BUILT_INS = {"quad1": _quad1, "quad3": _quad3, "hartmann": _hartmann}
+TEST_FUNCTION_NAMES = tuple(_BUILT_INS)
+
+
 @functools.lru_cache(maxsize=None)
 def get_test_function(name: str) -> TestFunction:
     """Return the canonical instance of a built-in model by name."""
-    if name == "quad1":
-        b = canonical_quad1_direction()
-        return TestFunction(
-            name="quad1",
-            evaluator=functools.partial(quad1, b),
-            measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
-            true_subspace=Subspace(b),
-        )
-    if name == "quad3":
-        B, b = canonical_quad3_coefficients()
-        return TestFunction(
-            name="quad3",
-            evaluator=functools.partial(quad3, B, b),
-            measure=InputMeasure.standard_gaussian(QUAD_DIMENSION),
-            true_subspace=Subspace(orthonormal_basis(np.column_stack([B, b]))),
-        )
-    if name == "hartmann":
-        def log_input_field(z: np.ndarray) -> np.ndarray:
-            return hartmann_b_ind(np.exp(np.atleast_2d(z)))
-
-        return TestFunction(
-            name="hartmann",
-            evaluator=log_input_field,
-            measure=InputMeasure.gaussian(HARTMANN_LOG_MEAN, HARTMANN_LOG_COV),
-            true_subspace=hartmann_true_subspace(),
-        )
-    raise ValueError(f"unknown test function {name!r}; expected quad1, quad3, or hartmann")
-
-
-TEST_FUNCTION_NAMES = ("quad1", "quad3", "hartmann")
+    if name not in _BUILT_INS:
+        raise ValueError(f"unknown test function {name!r}; "
+                         f"expected one of {', '.join(TEST_FUNCTION_NAMES)}")
+    return TestFunction(name, *_BUILT_INS[name]())
 
 
 def generate_samples(
@@ -241,7 +240,7 @@ def generate_samples(
     may be caller code, so its output is frozen as a copy.
     """
     x = draw(fn.measure, n_samples, seed)
-    x.setflags(write=False)
+    x.setflags(write=False)  # before the evaluator, which may be caller code
     y = _freeze(np.ravel(fn.evaluator(x)))
     s = SampleSet._shared(x, y, None)
     if standardized:

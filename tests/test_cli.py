@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 import ridgerec
 from ridgerec.cli import CSV_BLOCK_ROWS, _write_csv, main, read_samples_csv, write_samples_csv
 from ridgerec.core import SampleSet
+from ridgerec.estimators import estimate
 
 
 def run(*argv):
@@ -144,6 +145,17 @@ class TestCsvRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             self._assert_savetxt_bytes(Path(tmp) / "t.csv", table)
 
+    def test_read_rows_and_outputs_are_read_only_and_contiguous(self, tmp_path):
+        """The parsed columns are copied once into contiguous arrays, which the
+        slice gathers and the whitening read faster than strided column views."""
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, SampleSet(inputs=np.arange(12.0).reshape(4, 3),
+                                          outputs=np.arange(4.0)))
+        back = read_samples_csv(path)
+        for a in (back.rows, back.outputs):
+            assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
+        assert back.standardizer is None
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("a,b,y\n1,2,3\n")
@@ -180,6 +192,30 @@ class TestEstimateCommands:
                    "--slices", "2", "--dim", "1", "--out", str(tmp_path)) == 0
         report = read_json(tmp_path / "estimate.json")
         np.testing.assert_allclose(report["eigenvalues"], [4.5, 2.0])
+
+    def test_assume_standardized_whitens_the_read_rows_by_the_identity(self, tmp_path,
+                                                                        monkeypatch):
+        """The estimated set holds the parsed rows themselves, not a copy."""
+        read, estimated = [], []
+
+        def reading(path):
+            read.append(read_samples_csv(path))
+            return read[-1]
+
+        def estimating(s, *args):
+            estimated.append(s)
+            return estimate(s, *args)
+
+        monkeypatch.setattr(ridgerec.cli, "read_samples_csv", reading)
+        monkeypatch.setattr(ridgerec.cli, "estimate", estimating)
+        csv = tmp_path / "samples.csv"
+        write_samples_csv(csv, SampleSet(inputs=[[1.0, 0.0], [3.0, 0.0], [0.0, 2.0],
+                                                 [0.0, 4.0]], outputs=[0.1, 0.2, 0.9, 1.0]))
+        assert run("sir", "--input", str(csv), "--assume-standardized",
+                   "--slices", "2", "--out", str(tmp_path)) == 0
+        (s,) = estimated
+        assert s.rows is read[0].rows and s.outputs is read[0].outputs
+        assert s.standardizer.is_identity
 
     def test_dimension_overflow_is_usage_error(self, tmp_path, capsys):
         assert run("sir", "--function", "quad1", "--n", "100",

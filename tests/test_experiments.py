@@ -82,6 +82,9 @@ class TestStudyConfig:
         (dict(n_components=11), "exceeds input dimension 10"),
         (dict(n_slices=201), "smallest size is 200"),
         (dict(method="save", n_slices=101), "SAVE needs at least 2 samples per slice"),
+        (dict(n_slices=0), "n_slices must be at least 1"),
+        (dict(method="sir", n_slices=0), "n_slices must be at least 1"),
+        (dict(scheme="fixed", n_slices=0), "n_slices must be at least 1"),
     ])
     def test_bad_study_fails_before_any_work(self, tmp_path, estimate_calls, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -296,6 +299,26 @@ class TestBootstrap:
         assert np.all(result.lower <= result.point)
         assert np.all(result.point <= result.upper)
         assert result.n_resamples == 20
+
+    def test_resamples_never_whiten_the_rows(self, monkeypatch):
+        """Resamples keep the stored rows and the set's standardizer; the
+        envelope matches resampling rows that were whitened first."""
+        s = generate_samples(get_test_function("hartmann"), 500, seed=3)
+        assert not s.standardizer.is_identity
+        args = dict(n_slices=5, scheme="equal-count", method="save", n_resamples=10, seed=9)
+        eager = bootstrap_eigenvalues(
+            SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True), **args)
+
+        def refuse(self):
+            raise AssertionError("the bootstrap read the whitened rows")
+
+        monkeypatch.setattr(SampleSet, "inputs", property(refuse))
+        result = bootstrap_eigenvalues(s, **args)
+        assert np.all(result.lower <= result.point)
+        assert np.all(result.point <= result.upper)
+        for name in ("point", "lower", "upper"):
+            np.testing.assert_allclose(getattr(result, name), getattr(eager, name),
+                                       rtol=0, atol=1e-12 * eager.upper[0])
 
     def test_rejects_tiny_resample_count(self):
         fn = get_test_function("quad1")
