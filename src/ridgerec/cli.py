@@ -4,12 +4,16 @@ Subcommands
 -----------
 ``sample``
     Draw inputs from a built-in model's measure, evaluate, and write
-    ``samples.csv`` (header ``x1,...,xm,y``) plus a JSON sidecar
-    recording the measure, seed, and standardization state.
+    ``samples.csv`` (header ``x1,...,xm,y``): the whitened inputs, or
+    with ``--raw`` the draws themselves.  A JSON sidecar records the
+    measure, seed, and standardization state.
 ``sir`` / ``save``
     Run one estimator on generated or ingested samples; writes
     ``estimate.json`` (eigenvalues, gaps, slice weights), ``eigvecs.csv``
-    and ``summary_plot.csv``.
+    and ``summary_plot.csv``.  Ingested rows are whitened against a
+    config ``measure`` spec, or declared whitened already with
+    ``--assume-standardized``, a claim their moments are checked against
+    (:func:`ridgerec.measures.whitening_defect`).
 ``converge``
     Run a convergence study; writes ``study.csv`` (one row per
     (size, trial)) and ``study.json`` (fitted slopes, surrogate
@@ -34,6 +38,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -42,8 +47,9 @@ import numpy as np
 from ridgerec.core import METHODS, SampleSet, Standardizer, validate_sample_set, write_atomic
 from ridgerec.estimators import estimate
 from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
-from ridgerec.measures import InputMeasure, fit_standardizer, standardize
-from ridgerec.slicing import SCHEMES, default_slice_count
+from ridgerec.measures import (WHITENING_DEFECT_LIMIT, InputMeasure, fit_standardizer,
+                               standardize, whitening_defect)
+from ridgerec.slicing import SCHEMES, check_slice_count, default_slice_count
 from ridgerec.spectral import gap_profile
 from ridgerec.testfns import TEST_FUNCTION_NAMES, generate_samples, get_test_function
 
@@ -88,16 +94,19 @@ def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
     write_atomic(path, chunks())
 
 
-def write_samples_csv(path: Path, s: SampleSet) -> None:
-    _write_csv(path, _names("x", s.dimension) + ["y"],
-               np.column_stack([s.inputs, s.outputs]))
+def write_samples_csv(path: Path, rows, outputs) -> None:
+    """Write ``rows`` and their ``outputs`` under the header x1,...,xm,y."""
+    table = np.column_stack([rows, outputs])
+    _write_csv(path, _names("x", table.shape[1] - 1) + ["y"], table)
 
 
 def read_samples_csv(path: Path) -> SampleSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file without rows is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise UsageError(f"cannot read samples file: {exc}") from exc
     except ValueError as exc:
@@ -108,16 +117,17 @@ def read_samples_csv(path: Path) -> SampleSet:
         raise UsageError(
             f"samples file must have header x1,...,xm,y (got {header!r})"
         )
+    if body.shape[0] == 0:
+        raise UsageError(f"samples file {path} has no rows")
     if body.shape[1] != m + 1:
         raise UsageError("samples file rows do not match header width")
-    return SampleSet(inputs=body[:, :m], outputs=body[:, m], standardized=False)
+    return SampleSet(inputs=body[:, :m], outputs=body[:, m])
 
 
 #: Each measure kind's constructor and the spec keys it takes, in order; any
 #: kind may also carry ``dimension``, which must then match the measure.
 _MEASURE_KINDS = {
-    "standard-gaussian": (lambda dimension: InputMeasure.standard_gaussian(int(dimension)),
-                          ("dimension",)),
+    "standard-gaussian": (InputMeasure.standard_gaussian, ("dimension",)),
     "gaussian": (InputMeasure.gaussian, ("mean", "cov")),
     "uniform-box": (InputMeasure.uniform_box, ("lower", "upper")),
 }
@@ -136,6 +146,9 @@ def measure_from_spec(spec: dict) -> InputMeasure:
                          "input columns before ingest")
     if unknown:
         raise UsageError(f"measure spec key(s) {', '.join(unknown)} do not apply to kind {kind}")
+    if "dimension" in spec and type(spec["dimension"]) is not int:
+        raise UsageError("measure spec key dimension must be an integer, "
+                         f"got {json.dumps(spec['dimension'])}")
     try:
         measure = make(*[spec[key] for key in keys])
     except KeyError as exc:
@@ -169,14 +182,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     fn = get_test_function(_require(args.function, "--function"))
     n = _require(args.n, "--n")
     seed = args.seed or 0
-    s = generate_samples(fn, n, seed, standardized=not args.raw)
-    write_samples_csv(args.out / "samples.csv", s)
+    s = generate_samples(fn, n, seed)
+    write_samples_csv(args.out / "samples.csv", s.rows if args.raw else s.inputs, s.outputs)
     sidecar = {
         "function": fn.name,
         "n": n,
         "m": fn.dimension,
         "seed": seed,
-        "standardized": s.standardized,
+        "standardized": not args.raw,
         "measure": measure_to_spec(fn.measure),
     }
     write_atomic(args.out / "samples.json", _json_text(sidecar))
@@ -214,6 +227,12 @@ def _obtain_samples(args: argparse.Namespace):
         raise UsageError("ingested samples are invalid: " + "; ".join(violations))
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
+        defect, where = whitening_defect(s.rows)
+        if defect > WHITENING_DEFECT_LIMIT:
+            raise UsageError(
+                f"--assume-standardized, but the rows are not whitened: their {where} is "
+                f"{defect:.1f} standard errors from its whitened value (limit "
+                f"{WHITENING_DEFECT_LIMIT:g}); give a \"measure\" spec to whiten against")
         std = Standardizer.identity(s.dimension)
     elif args.measure is not None:
         std = fit_standardizer(measure_from_spec(args.measure))
@@ -234,6 +253,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.dim > m:
         raise UsageError(f"--dim {args.dim}: the requested dimension exceeds input dimension {m}")
     n_slices = args.slices or default_slice_count(s.n_samples)
+    try:
+        check_slice_count(args.slice_scheme, n_slices, s.n_samples, "the sample count")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     est = estimate(s, n_slices, args.slice_scheme, args.command, args.dim)
     profile = gap_profile(est.spectrum)

@@ -110,11 +110,12 @@ class SampleSet:
     """Paired inputs and scalar outputs, and the map that whitens the inputs.
 
     A set holds one representation: the ``rows`` it was given and the
-    ``standardizer`` that maps them to whitened coordinates.  That map is
-    None for raw data and the identity for rows built with
-    ``standardized=True``.  :func:`ridgerec.measures.standardize` gives a
-    raw set, once, the measure's map over the same rows, copying nothing;
-    it refuses a set that has a map already.
+    ``standardizer`` that maps them to whitened coordinates.  A set built
+    here is raw: its map is None.  :func:`ridgerec.measures.standardize`
+    is the one way to attach a map: it gives a raw set, once, a map over
+    the same rows, copying nothing, and refuses a set that has one
+    already.  Rows that are whitened already take the identity map,
+    ``standardize(SampleSet(x, y), Standardizer.identity(m))``.
 
     ``inputs`` are the rows in whitened coordinates, ``(x - mean) @ W.T``,
     computed on first read and kept; raw sets and sets under the identity
@@ -127,19 +128,14 @@ class SampleSet:
         One row per sample.
     outputs : (N,) array
         Scalar response per sample.
-    standardized : bool
-        True when the inputs are already whitened.  This is a provenance
-        flag, not a statistical test of the sample moments.
     """
 
     rows: np.ndarray
     outputs: np.ndarray
     standardizer: Optional[Standardizer]
 
-    def __init__(self, inputs, outputs, standardized: bool = False):
-        rows = _freeze(np.atleast_2d(inputs))
-        self._fill(rows, _freeze(np.ravel(outputs)),
-                   Standardizer.identity(rows.shape[1]) if standardized else None)
+    def __init__(self, inputs, outputs):
+        self._fill(_freeze(np.atleast_2d(inputs)), _freeze(np.ravel(outputs)), None)
 
     def _fill(self, rows, outputs, standardizer) -> None:
         object.__setattr__(self, "rows", rows)

@@ -28,7 +28,7 @@ from ridgerec.core import (METHODS, SampleSet, SdrEstimate, Subspace, SymmetricS
                            _freeze, write_atomic)
 from ridgerec.estimators import estimate
 from ridgerec.measures import derive_seed, generator
-from ridgerec.slicing import SCHEMES
+from ridgerec.slicing import SCHEMES, check_slice_count
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -83,9 +83,7 @@ class StudyConfig:
             raise ValueError("truth surrogate size must be at least 10x the largest size")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "equal-count" and self.n_slices > self.sizes[0]:
-            raise ValueError(f"{self.n_slices} equal-count slices need at least as many "
-                             f"samples, but the smallest size is {self.sizes[0]}")
+        check_slice_count(self.scheme, self.n_slices, self.sizes[0], "the smallest size")
         if (self.scheme == "equal-count" and self.method == "save"
                 and self.sizes[0] // self.n_slices < 2):
             raise ValueError(f"SAVE needs at least 2 samples per slice, but {self.n_slices} "

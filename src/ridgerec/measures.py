@@ -171,6 +171,37 @@ def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
     return SampleSet._shared(s.rows, s.outputs, std)
 
 
+#: Standard errors beyond which a moment of rows declared whitened refutes
+#: the claim.  Standardized draws of the built-in models, N = 10 to 10^6,
+#: stayed below 5 on both moments.
+WHITENING_DEFECT_LIMIT = 8.0
+
+
+def whitening_defect(rows: np.ndarray) -> tuple[float, str]:
+    """How far rows declared whitened lie from zero mean and identity second moment.
+
+    Each moment is measured in its standard error under the claim.  A
+    column mean has standard error exactly 1/sqrt(N).  An entry (j, k) of
+    X'X/N has standard error sd(x_j x_k)/sqrt(N), which Cauchy-Schwarz
+    bounds by (m4_j m4_k)^(1/4)/sqrt(N), with each fourth moment m4 taken
+    from the column itself and floored at the Gaussian value 3.  Returns
+    the worst defect and what it is, such as ``"mean of x3"`` or
+    ``"entry (x1, x2) of X'X/N"``.  It costs one O(N m^2) pass, which
+    the estimators never make.
+    """
+    n, m = rows.shape
+    root_n = np.sqrt(n)
+    mean = np.abs(rows.mean(axis=0)) * root_n
+    squares = rows * rows
+    m4 = np.maximum(np.einsum("ij,ij->j", squares, squares) / n, 3.0)
+    second = np.abs(rows.T @ rows / n - np.eye(m)) * root_n / np.sqrt(np.sqrt(np.outer(m4, m4)))
+    c = int(np.argmax(mean))
+    j, k = np.unravel_index(np.argmax(second), second.shape)
+    if mean[c] >= second[j, k]:
+        return float(mean[c]), f"mean of x{c + 1}"
+    return float(second[j, k]), f"entry (x{j + 1}, x{k + 1}) of X'X/N"
+
+
 def pushforward_direction(std: Standardizer, w_standardized: np.ndarray) -> np.ndarray:
     """Express a recovered direction in original (unstandardized) coordinates.
 

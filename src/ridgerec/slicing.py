@@ -143,6 +143,17 @@ def default_slice_count(n_samples: int) -> int:
     return max(1, min(max(5, int(np.sqrt(n_samples))), 50, n_samples))
 
 
+def check_slice_count(scheme: str, n_slices: int, n_samples: int, size_name: str) -> None:
+    """Refuse more equal-count slices than samples, as each slice needs one.
+
+    ``size_name`` says which count ``n_samples`` is, for the message.
+    Raises ValueError.
+    """
+    if scheme == "equal-count" and n_slices > n_samples:
+        raise ValueError(f"{n_slices} equal-count slices need at least as many samples, "
+                         f"but {size_name} is {n_samples}")
+
+
 def _as_response_vector(outputs) -> np.ndarray:
     y = np.asarray(outputs, dtype=np.float64).ravel()
     if y.size < 1:

@@ -229,20 +229,16 @@ def get_test_function(name: str) -> TestFunction:
     return TestFunction(name, *_BUILT_INS[name]())
 
 
-def generate_samples(
-    fn: TestFunction, n_samples: int, seed: int, standardized: bool = True
-) -> SampleSet:
-    """Draw inputs from the model's measure, evaluate, optionally whiten.
+def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
+    """Draw inputs from the model's measure, evaluate, and standardize.
 
-    The response is always evaluated on the raw draws (the coordinates
-    the evaluator expects); only the stored inputs are whitened.  The set
-    adopts the fresh draw, made read-only, without a copy; the evaluator
-    may be caller code, so its output is frozen as a copy.
+    The response is evaluated on the raw draws (the coordinates the
+    evaluator expects).  The set keeps those draws as its ``rows``,
+    made read-only, without a copy, and carries the measure's map, so
+    its ``inputs`` are whitened on first read.  The evaluator may be
+    caller code, so its output is frozen as a copy.
     """
     x = draw(fn.measure, n_samples, seed)
     x.setflags(write=False)  # before the evaluator, which may be caller code
     y = _freeze(np.ravel(fn.evaluator(x)))
-    s = SampleSet._shared(x, y, None)
-    if standardized:
-        s = standardize(s, fit_standardizer(fn.measure))
-    return s
+    return standardize(SampleSet._shared(x, y, None), fit_standardizer(fn.measure))

@@ -4,10 +4,20 @@ Everything here transcribes the estimator recipes step by step with
 explicit Python loops — no vectorization, no algebraic rearrangement —
 so the fast implementations in ridgerec can be compared against these on
 small inputs.  Slice membership scans closed intervals in order, which
-sends boundary ties to the lower slice.
+sends boundary ties to the lower slice.  :func:`standardized_set` is
+the one way the tests declare rows whitened already.
 """
 
 import numpy as np
+
+from ridgerec.core import SampleSet, Standardizer
+from ridgerec.measures import standardize
+
+
+def standardized_set(x, y):
+    """Rows ``x`` that are whitened already, with outputs ``y``: the identity map."""
+    s = SampleSet(inputs=x, outputs=y)
+    return standardize(s, Standardizer.identity(s.dimension))
 
 
 def slice_membership(outputs, boundaries):

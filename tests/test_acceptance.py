@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ridgerec.cli import read_samples_csv, write_samples_csv
-from ridgerec.core import SampleSet
 from ridgerec.estimators import estimate, make_partition, save_matrix, sir_matrix
 from ridgerec.experiments import (
     StudyConfig,
@@ -27,7 +26,7 @@ from ridgerec.slicing import partition_equal_count, slice_stats
 from ridgerec.spectral import gap_profile, orthonormal_basis, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function, hartmann_true_subspace
 
-from oracles import save_matrix_oracle, sir_matrix_oracle
+from oracles import save_matrix_oracle, sir_matrix_oracle, standardized_set
 
 RUN_SEED = 11
 STUDY_SEED = 31
@@ -204,8 +203,7 @@ def test_criterion_7_oracle_equivalence():
         y = rng.standard_normal(n)
         if rng.random() < 0.3:
             y = np.round(y, 1)
-        s = SampleSet(inputs=rng.standard_normal((n, m)), outputs=y,
-                      standardized=True)
+        s = standardized_set(rng.standard_normal((n, m)), y)
         p = make_partition(s.outputs, n_slices, scheme)
         stats = slice_stats(s, p)
         sir_err = np.max(np.abs(
@@ -251,8 +249,8 @@ def test_criterion_8_property_suite(tmp_path):
     p = partition_equal_count(y, 5)
     rot_ok = True
     for matrix_fn in (sir_matrix, save_matrix):
-        base = matrix_fn(slice_stats(SampleSet(x, y, standardized=True), p))
-        rot = matrix_fn(slice_stats(SampleSet(x @ Q.T, y, standardized=True), p))
+        base = matrix_fn(slice_stats(standardized_set(x, y), p))
+        rot = matrix_fn(slice_stats(standardized_set(x @ Q.T, y), p))
         rot_ok &= bool(np.max(np.abs(rot - Q @ base @ Q.T)) < 1e-10)
     checks.append(("rotation equivariance", rot_ok))
 
@@ -266,7 +264,7 @@ def test_criterion_8_property_suite(tmp_path):
     checks.append(("monotone-map slice invariance", mono_ok))
 
     # pooled-mean identity
-    stats = slice_stats(SampleSet(x, y, standardized=True), base_p)
+    stats = slice_stats(standardized_set(x, y), base_p)
     pooled = stats.weights @ stats.means
     checks.append(("pooled-mean identity",
                    np.max(np.abs(pooled - x.mean(axis=0))) < 1e-12))
@@ -296,7 +294,7 @@ def test_criterion_8_property_suite(tmp_path):
     # CSV round-trip exactness
     s = generate_samples(get_test_function("hartmann"), 50, seed=1)
     path = tmp_path / "round.csv"
-    write_samples_csv(path, s)
+    write_samples_csv(path, s.inputs, s.outputs)
     back = read_samples_csv(path)
     checks.append(("CSV round-trip",
                    np.array_equal(back.inputs, s.inputs)

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 import ridgerec
 from ridgerec.cli import CSV_BLOCK_ROWS, _write_csv, main, read_samples_csv, write_samples_csv
-from ridgerec.core import SampleSet
+from ridgerec.core import METHODS, SampleSet
 from ridgerec.estimators import estimate
+from ridgerec.testfns import generate_samples, get_test_function
 
 
 def run(*argv):
@@ -60,6 +62,15 @@ class TestSampleCommand:
         assert (a_dir / "samples.csv").read_bytes() == (b_dir / "samples.csv").read_bytes()
         assert (a_dir / "samples.json").read_bytes() == (b_dir / "samples.json").read_bytes()
 
+    def test_raw_writes_the_draws(self, tmp_path):
+        assert run("sample", "--function", "hartmann", "--n", "30", "--seed", "4", "--raw",
+                   "--out", str(tmp_path)) == 0
+        back = read_samples_csv(tmp_path / "samples.csv")
+        s = generate_samples(get_test_function("hartmann"), 30, 4)
+        assert back.rows.tobytes() == s.rows.tobytes()
+        assert back.outputs.tobytes() == s.outputs.tobytes()
+        assert read_json(tmp_path / "samples.json")["standardized"] is False
+
     def test_artifacts_honour_umask(self, tmp_path):
         old = os.umask(0o022)
         try:
@@ -86,7 +97,7 @@ class TestCsvRoundTrip:
             outputs=rng.standard_normal(40),
         )
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, s)
+        write_samples_csv(path, s.rows, s.outputs)
         back = read_samples_csv(path)
         np.testing.assert_array_equal(back.inputs, s.inputs)
         np.testing.assert_array_equal(back.outputs, s.outputs)
@@ -98,7 +109,7 @@ class TestCsvRoundTrip:
         x = np.array(self.SPECIAL).reshape(3, 2)
         s = SampleSet(inputs=x, outputs=np.array(self.SPECIAL[::-1][:3]))
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, s)
+        write_samples_csv(path, s.rows, s.outputs)
         rows = [",".join(f"{v:.17g}" for v in [*r, y]) for r, y in zip(x, s.outputs)]
         assert path.read_text() == "x1,x2,y\n" + "".join(r + "\n" for r in rows)
         back = read_samples_csv(path)
@@ -113,7 +124,7 @@ class TestCsvRoundTrip:
                       outputs=data.draw(arrays(np.float64, n, elements=finite)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.csv"
-            write_samples_csv(path, s)
+            write_samples_csv(path, s.rows, s.outputs)
             back = read_samples_csv(path)
         assert back.inputs.tobytes() == s.inputs.tobytes()
         assert back.outputs.tobytes() == s.outputs.tobytes()
@@ -149,8 +160,7 @@ class TestCsvRoundTrip:
         """The parsed columns are copied once into contiguous arrays, which the
         slice gathers and the whitening read faster than strided column views."""
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, SampleSet(inputs=np.arange(12.0).reshape(4, 3),
-                                          outputs=np.arange(4.0)))
+        write_samples_csv(path, np.arange(12.0).reshape(4, 3), np.arange(4.0))
         back = read_samples_csv(path)
         for a in (back.rows, back.outputs):
             assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
@@ -182,12 +192,9 @@ class TestEstimateCommands:
 
     def test_ingested_hand_dataset(self, tmp_path):
         """The four-point hand dataset reproduces eigenvalues (4.5, 2)."""
-        s = SampleSet(
-            inputs=[[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]],
-            outputs=[0.1, 0.2, 0.9, 1.0],
-        )
         csv = tmp_path / "hand.csv"
-        write_samples_csv(csv, s)
+        write_samples_csv(csv, [[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]],
+                          [0.1, 0.2, 0.9, 1.0])
         assert run("sir", "--input", str(csv), "--assume-standardized",
                    "--slices", "2", "--dim", "1", "--out", str(tmp_path)) == 0
         report = read_json(tmp_path / "estimate.json")
@@ -209,13 +216,42 @@ class TestEstimateCommands:
         monkeypatch.setattr(ridgerec.cli, "read_samples_csv", reading)
         monkeypatch.setattr(ridgerec.cli, "estimate", estimating)
         csv = tmp_path / "samples.csv"
-        write_samples_csv(csv, SampleSet(inputs=[[1.0, 0.0], [3.0, 0.0], [0.0, 2.0],
-                                                 [0.0, 4.0]], outputs=[0.1, 0.2, 0.9, 1.0]))
+        write_samples_csv(csv, [[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]],
+                          [0.1, 0.2, 0.9, 1.0])
         assert run("sir", "--input", str(csv), "--assume-standardized",
                    "--slices", "2", "--out", str(tmp_path)) == 0
         (s,) = estimated
         assert s.rows is read[0].rows and s.outputs is read[0].outputs
         assert s.standardizer.is_identity
+
+    def test_assume_standardized_refuses_raw_rows(self, tmp_path, capsys):
+        """Raw hartmann draws declared whitened gave a subspace at distance 0.97."""
+        assert run("sample", "--function", "hartmann", "--n", "20000", "--raw", "--seed", "3",
+                   "--out", str(tmp_path)) == 0
+        out = tmp_path / "out"
+        assert run("sir", "--input", str(tmp_path / "samples.csv"), "--assume-standardized",
+                   "--slices", "20", "--dim", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "mean of x1 is 318.2 standard errors" in err and "limit 8" in err
+        assert not out.exists()
+
+    def test_header_only_file_has_no_rows(self, tmp_path, capsys):
+        csv = tmp_path / "samples.csv"
+        csv.write_text("x1,x2,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sir", "--input", str(csv), "--assume-standardized",
+                       "--out", str(tmp_path / "out")) == 2
+        assert f"samples file {csv} has no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_more_equal_count_slices_than_samples_refused(self, tmp_path, capsys, method):
+        out = tmp_path / "out"
+        assert run(method, "--function", "quad1", "--n", "10", "--slices", "20",
+                   "--out", str(out)) == 2
+        assert ("20 equal-count slices need at least as many samples, but the sample "
+                "count is 10") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_overflow_is_usage_error(self, tmp_path, capsys):
         assert run("sir", "--function", "quad1", "--n", "100",
@@ -240,18 +276,16 @@ class TestEstimateCommands:
         assert len(err) < 400
 
     def test_ingest_without_standardization_info_rejected(self, tmp_path, capsys):
-        s = SampleSet(inputs=[[0.1], [0.9]], outputs=[1.0, 2.0])
         csv = tmp_path / "raw.csv"
-        write_samples_csv(csv, s)
+        write_samples_csv(csv, [[0.1], [0.9]], [1.0, 2.0])
         assert run("sir", "--input", str(csv), "--out", str(tmp_path)) == 2
         assert "standardize" in capsys.readouterr().err
 
     def test_measure_spec_in_config_standardizes(self, tmp_path):
         rng = np.random.default_rng(17)
         x = rng.normal(loc=5.0, scale=2.0, size=(200, 1))
-        s = SampleSet(inputs=x, outputs=x[:, 0] ** 2)
         csv = tmp_path / "raw.csv"
-        write_samples_csv(csv, s)
+        write_samples_csv(csv, x, x[:, 0] ** 2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "measure": {"kind": "gaussian", "mean": [5.0], "cov": [[4.0]]},
@@ -264,8 +298,7 @@ class TestEstimateCommands:
     def test_measure_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(18)
         csv = tmp_path / "raw.csv"
-        write_samples_csv(csv, SampleSet(inputs=rng.standard_normal((20, 5)),
-                                         outputs=rng.standard_normal(20)))
+        write_samples_csv(csv, rng.standard_normal((20, 5)), rng.standard_normal(20))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "measure": {"kind": "standard-gaussian", "dimension": 3},
@@ -276,7 +309,7 @@ class TestEstimateCommands:
 
     def test_log_transform_measure_spec_rejected(self, tmp_path, capsys):
         csv = tmp_path / "raw.csv"
-        write_samples_csv(csv, SampleSet(inputs=[[0.1], [0.9]], outputs=[1.0, 2.0]))
+        write_samples_csv(csv, [[0.1], [0.9]], [1.0, 2.0])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "measure": {"kind": "gaussian", "mean": [0.5], "cov": [[0.2]],
@@ -301,9 +334,12 @@ class TestEstimateCommands:
         ({"kind": "standard-gaussian"}, "lacks key 'dimension'"),
         ({"kind": "gaussian", "mean": [5, 5]}, "lacks key 'cov'"),
         ({"kind": "normal", "dimension": 2}, "unknown measure kind 'normal'"),
+        ({"kind": "standard-gaussian", "dimension": True}, "must be an integer, got true"),
+        ({"kind": "uniform-box", "dimension": 2.0, "lower": [0, 0], "upper": [9, 9]},
+         "must be an integer, got 2.0"),
     ], ids=["mean-cov-on-standard", "dimension-mismatch", "misspelt-key", "box-key-on-gaussian",
             "box-dimension-mismatch", "standard-without-dimension", "gaussian-without-cov",
-            "unknown-kind"])
+            "unknown-kind", "dimension-as-boolean", "dimension-as-float"])
     def test_measure_spec_keys_checked(self, tmp_path, capsys, spec, named):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"measure": spec}))
@@ -377,7 +413,7 @@ class TestEstimateCommands:
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
-        write_samples_csv(csv, SampleSet(inputs=[[1.0]], outputs=[1.0]))
+        write_samples_csv(csv, [[1.0]], [1.0])
         assert run("sir", "--function", "quad1", "--input", str(csv),
                    "--out", str(tmp_path)) == 2
         assert "exactly one" in capsys.readouterr().err
@@ -387,7 +423,7 @@ def _mean_five_csv(tmp_path):
     rng = np.random.default_rng(19)
     x = rng.normal(loc=5.0, size=(200, 2))
     csv = tmp_path / "raw.csv"
-    write_samples_csv(csv, SampleSet(inputs=x, outputs=x[:, 0] ** 2))
+    write_samples_csv(csv, x, x[:, 0] ** 2)
     return ["--input", str(csv)]
 
 

@@ -20,6 +20,8 @@ from ridgerec.slicing import slice_stats
 from ridgerec.spectral import decompose, gap_profile
 from ridgerec.testfns import generate_samples, get_test_function
 
+from oracles import standardized_set
+
 
 class TestSampleSet:
     def test_minimal_set_is_valid(self):
@@ -141,7 +143,7 @@ class TestSdrEstimate:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((60, 3))
         y = x[:, 0] ** 2
-        s = SampleSet(inputs=x, outputs=y, standardized=True)
+        s = standardized_set(x, y)
         return estimate(s, 4, "equal-count", method, n)
 
     def test_method_recorded(self):

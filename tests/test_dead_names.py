@@ -9,6 +9,12 @@ does when it names the functions it wraps.
 Dataclass fields and properties of package classes must be read: some
 file reads them as an attribute, or names them in a string constant as
 ``getattr`` does.  Passing a field to the constructor is not a read.
+
+Every parameter with a default in the package must be set: some call in
+``src/`` or ``perfbench/`` passes it a value spelt otherwise than the
+default.  Calls are matched by the name they spell, so ``__init__`` is
+called as its class; tests do not count, since a value that only tests
+pass is an option the program never takes.
 """
 
 import ast
@@ -91,3 +97,62 @@ def test_no_field_or_property_is_unread():
               for member in _members(ast.parse(path.read_text(encoding="utf-8")))
               if member.split(".")[1] not in reads}
     assert sorted(unread) == []
+
+
+def _defaulted(tree: ast.Module) -> list:
+    """(callee, parameter, call position or None, default source) per defaulted parameter.
+
+    Module functions and methods are covered.  A method's position does not
+    count ``self``; keyword-only parameters have no position.
+    """
+    found = []
+    for node, cls in [(n, None) for n in tree.body] + [
+            (n, c.name) for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        callee = cls if node.name == "__init__" else node.name
+        bound = cls is not None and "staticmethod" not in map(ast.unparse, node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, default in enumerate(node.args.defaults, start=first):
+            found.append((callee, positional[i].arg, i - bound, ast.unparse(default)))
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found.append((callee, arg.arg, None, ast.unparse(default)))
+    return found
+
+
+def _sets(call: ast.Call, name: str, position, default: str) -> bool:
+    """Whether ``call`` passes parameter ``name`` something spelt otherwise than ``default``.
+
+    An unpacked ``*args`` or ``**kwargs`` that could carry it counts as setting it.
+    """
+    for kw in call.keywords:
+        if kw.arg is None or kw.arg == name:
+            return kw.arg is None or ast.unparse(kw.value) != default
+    if position is None:
+        return False
+    shown = call.args[:position + 1]
+    if any(isinstance(a, ast.Starred) for a in shown):
+        return True
+    return len(shown) > position and ast.unparse(shown[position]) != default
+
+
+def test_no_parameter_default_is_the_only_value():
+    calls = [node
+             for top in ("src", "perfbench")
+             for path in (ROOT / top).rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    by_callee: dict = {}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        by_callee.setdefault(name, []).append(call)
+    unset = {f"{path.stem}.{callee}({name})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for callee, name, position, default in _defaulted(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(_sets(call, name, position, default)
+                        for call in by_callee.get(callee, []))}
+    assert sorted(unset) == []

@@ -12,11 +12,7 @@ from ridgerec.measures import (InputMeasure, derive_seed, draw, fit_standardizer
 from ridgerec.slicing import SCHEMES, partition_equal_count, slice_stats
 from ridgerec.spectral import orthonormal_basis, subspace_distance
 
-from oracles import save_matrix_oracle, sir_matrix_oracle
-
-
-def standardized_set(x, y):
-    return SampleSet(inputs=x, outputs=y, standardized=True)
+from oracles import save_matrix_oracle, sir_matrix_oracle, standardized_set
 
 
 class TestSirMatrix:
@@ -307,7 +303,7 @@ class TestMomentWhitening:
         z = whitened_rows(x, std)
         y = ridge_response(z, derive_seed(32, measure.dimension))
         lazy = standardize(SampleSet(inputs=x, outputs=y), std)
-        eager = SampleSet(inputs=z, outputs=y, standardized=True)
+        eager = standardized_set(z, y)
         for method in MATRICES:
             for scheme in SCHEMES:
                 a = estimate(lazy, 6, scheme, method, 3).spectrum

@@ -23,6 +23,8 @@ from ridgerec.experiments import (
 from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
+from oracles import standardized_set
+
 
 def small_config(**overrides):
     base = dict(
@@ -281,7 +283,7 @@ class TestBootstrap:
     def test_single_sample_collapses(self):
         """With one sample every resample repeats it, so the envelope
         pinches onto the point estimate."""
-        s = SampleSet(inputs=[[3.0, 1.0]], outputs=[2.0], standardized=True)
+        s = standardized_set([[3.0, 1.0]], [2.0])
         result = bootstrap_eigenvalues(
             s, n_slices=1, scheme="equal-count", method="sir",
             n_resamples=2, seed=1,
@@ -307,7 +309,7 @@ class TestBootstrap:
         assert not s.standardizer.is_identity
         args = dict(n_slices=5, scheme="equal-count", method="save", n_resamples=10, seed=9)
         eager = bootstrap_eigenvalues(
-            SampleSet(inputs=s.inputs, outputs=s.outputs, standardized=True), **args)
+            standardized_set(s.inputs, s.outputs), **args)
 
         def refuse(self):
             raise AssertionError("the bootstrap read the whitened rows")

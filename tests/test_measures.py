@@ -6,6 +6,7 @@ import pytest
 from ridgerec.core import SampleSet
 from ridgerec.estimators import estimate
 from ridgerec.measures import (
+    WHITENING_DEFECT_LIMIT,
     InputMeasure,
     Standardizer,
     derive_seed,
@@ -14,6 +15,7 @@ from ridgerec.measures import (
     generator,
     pushforward_direction,
     standardize,
+    whitening_defect,
 )
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function, hartmann_true_subspace
@@ -164,12 +166,12 @@ class TestStandardize:
         assert z.inputs is z.inputs
 
     def test_identity_inputs_are_the_rows(self):
-        s = SampleSet(inputs=np.ones((3, 2)), outputs=np.zeros(3), standardized=True)
-        assert s.standardizer.is_identity
-        assert s.inputs is s.rows
         raw = SampleSet(inputs=np.ones((3, 2)), outputs=np.zeros(3))
-        z = standardize(raw, fit_standardizer(InputMeasure.standard_gaussian(2)))
-        assert z.inputs is raw.rows
+        assert raw.standardizer is None and raw.inputs is raw.rows
+        for std in (Standardizer.identity(2), fit_standardizer(InputMeasure.standard_gaussian(2))):
+            z = standardize(raw, std)
+            assert z.standardizer.is_identity
+            assert z.inputs is raw.rows
 
     @pytest.mark.parametrize("standardizer", [
         Standardizer.identity(5),
@@ -185,6 +187,35 @@ class TestStandardize:
         assert subspace_distance(truth, estimate(s, 20, "equal-count", "sir", 2).subspace) < 0.1
         with pytest.raises(ValueError, match="standardized already"):
             standardize(s, standardizer)
+
+
+class TestWhiteningDefect:
+    def test_whitened_hand_rows_have_none(self):
+        assert whitening_defect(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0],
+                                          [-1.0, -1.0]])) == (0.0, "mean of x1")
+
+    def test_names_the_shifted_column(self):
+        rows = generator(61).standard_normal((400, 3)) + [0.0, 0.0, 1.0]
+        defect, where = whitening_defect(rows)
+        assert where == "mean of x3" and defect > 15
+
+    def test_names_the_correlated_entry(self):
+        z = generator(62).standard_normal((400, 2))
+        defect, where = whitening_defect(np.column_stack([z[:, 0], z[:, 1], z[:, 1]]))
+        assert where == "entry (x2, x3) of X'X/N" and defect > 8
+
+    @pytest.mark.parametrize("name", ["quad1", "hartmann"])
+    def test_standardized_draws_are_never_refused(self, name):
+        """A fast sweep, N = 10 to 10^6, stays under half the limit; quad3
+        draws the inputs quad1 does."""
+        fn = get_test_function(name)
+        worst = 0.0
+        for n, seeds in [(10, 40), (100, 40), (1000, 20), (10_000, 10), (100_000, 2),
+                         (1_000_000, 1)]:
+            for k in range(seeds):
+                worst = max(worst, whitening_defect(
+                    generate_samples(fn, n, derive_seed(63, n, k)).inputs)[0])
+        assert worst < WHITENING_DEFECT_LIMIT / 2
 
 
 class TestPushforwardDirection:

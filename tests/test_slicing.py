@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ridgerec.core import SampleSet
 from ridgerec.slicing import (
     SlicePartition,
     default_slice_count,
@@ -14,7 +13,7 @@ from ridgerec.slicing import (
     slice_stats,
 )
 
-from oracles import slice_membership
+from oracles import slice_membership, standardized_set
 
 
 def members_by_value(outputs, partition):
@@ -364,7 +363,7 @@ class TestDefaultSliceCount:
 
 class TestSliceStats:
     def test_one_slice_hand_case(self):
-        s = SampleSet(inputs=[[1.0], [-1.0]], outputs=[0.0, 1.0], standardized=True)
+        s = standardized_set([[1.0], [-1.0]], [0.0, 1.0])
         p = partition_equal_count(s.outputs, 1)
         stats = slice_stats(s, p)
         assert stats.means[0, 0] == 0.0
@@ -372,7 +371,7 @@ class TestSliceStats:
         np.testing.assert_array_equal(stats.weights, [1.0])
 
     def test_singleton_slice_degenerate(self):
-        s = SampleSet(inputs=[[7.0]], outputs=[3.0], standardized=True)
+        s = standardized_set([[7.0]], [3.0])
         p = partition_equal_count(s.outputs, 1)
         stats = slice_stats(s, p)
         assert stats.means[0, 0] == 7.0
@@ -380,11 +379,8 @@ class TestSliceStats:
         assert stats.degenerate_slices == (0,)
 
     def test_four_point_hand_case(self):
-        s = SampleSet(
-            inputs=[[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]],
-            outputs=[0.1, 0.2, 0.9, 1.0],
-            standardized=True,
-        )
+        s = standardized_set([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]],
+                             [0.1, 0.2, 0.9, 1.0])
         p = partition_equal_count(s.outputs, 2)
         stats = slice_stats(s, p)
         np.testing.assert_allclose(stats.means[0], [2.0, 0.0])
@@ -395,11 +391,7 @@ class TestSliceStats:
         rng = np.random.default_rng(41)
         for _ in range(15):
             n = int(rng.integers(5, 60))
-            s = SampleSet(
-                inputs=rng.standard_normal((n, 3)),
-                outputs=rng.standard_normal(n),
-                standardized=True,
-            )
+            s = standardized_set(rng.standard_normal((n, 3)), rng.standard_normal(n))
             p = partition_equal_count(s.outputs, int(rng.integers(1, 6)))
             stats = slice_stats(s, p)
             assert np.sum(stats.weights) == pytest.approx(1.0, abs=1e-15)
@@ -409,11 +401,7 @@ class TestSliceStats:
         rng = np.random.default_rng(42)
         for scheme_fn in (partition_fixed, partition_equal_count):
             n = 57
-            s = SampleSet(
-                inputs=rng.standard_normal((n, 4)),
-                outputs=rng.standard_normal(n),
-                standardized=True,
-            )
+            s = standardized_set(rng.standard_normal((n, 4)), rng.standard_normal(n))
             stats = slice_stats(s, scheme_fn(s.outputs, 6))
             pooled = stats.weights @ stats.means
             np.testing.assert_allclose(pooled, s.inputs.mean(axis=0), atol=1e-12)
@@ -421,11 +409,7 @@ class TestSliceStats:
     def test_covariances_symmetric_psd(self):
         rng = np.random.default_rng(43)
         n = 80
-        s = SampleSet(
-            inputs=rng.standard_normal((n, 3)),
-            outputs=rng.standard_normal(n),
-            standardized=True,
-        )
+        s = standardized_set(rng.standard_normal((n, 3)), rng.standard_normal(n))
         stats = slice_stats(s, partition_equal_count(s.outputs, 5))
         for sigma in stats.covariances:
             np.testing.assert_allclose(sigma, sigma.T, atol=1e-14)
@@ -439,11 +423,11 @@ class TestSliceStats:
         y = rng.standard_normal(n)
         perm = rng.permutation(n)
         a = slice_stats(
-            SampleSet(inputs=x, outputs=y, standardized=True),
+            standardized_set(x, y),
             partition_equal_count(y, 4),
         )
         b = slice_stats(
-            SampleSet(inputs=x[perm], outputs=y[perm], standardized=True),
+            standardized_set(x[perm], y[perm]),
             partition_equal_count(y[perm], 4),
         )
         np.testing.assert_allclose(a.means, b.means, atol=1e-14)
@@ -458,16 +442,14 @@ class TestSliceStats:
         ([2, 1, 0], "responses out of slice"),
     ])
     def test_partition_not_matching_the_samples_rejected(self, order, match):
-        s = SampleSet(inputs=np.ones((3, 1)), outputs=[1.0, 2.0, 3.0], standardized=True)
+        s = standardized_set(np.ones((3, 1)), [1.0, 2.0, 3.0])
         p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), order=np.array(order),
                            offsets=np.array([0, 1, 3]), scheme="fixed")
         with pytest.raises(ValueError, match=match):
             slice_stats(s, p)
 
     def test_partition_from_other_outputs_rejected(self):
-        s = SampleSet(
-            inputs=np.ones((4, 2)), outputs=[1.0, 2.0, 3.0, 4.0], standardized=True
-        )
+        s = standardized_set(np.ones((4, 2)), [1.0, 2.0, 3.0, 4.0])
         p = partition_equal_count([1.0, 2.0], 2)
         with pytest.raises(ValueError):
             slice_stats(s, p)

@@ -237,19 +237,15 @@ class TestGenerateSamples:
     def test_response_evaluated_on_raw_coordinates(self):
         """Whitening the stored inputs must not re-evaluate the response."""
         fn = get_test_function("hartmann")
-        raw = generate_samples(fn, 50, seed=6, standardized=False)
-        std = generate_samples(fn, 50, seed=6, standardized=True)
-        np.testing.assert_array_equal(raw.outputs, std.outputs)
-        assert not np.allclose(raw.inputs, std.inputs)
+        s = generate_samples(fn, 50, seed=6)
+        np.testing.assert_array_equal(s.outputs, fn.evaluator(s.rows))
+        assert not np.allclose(s.rows, s.inputs)
 
     def test_quad1_draws_already_white(self):
-        fn = get_test_function("quad1")
-        raw = generate_samples(fn, 30, seed=2, standardized=False)
-        std = generate_samples(fn, 30, seed=2, standardized=True)
-        np.testing.assert_allclose(raw.inputs, std.inputs, atol=1e-14)
+        s = generate_samples(get_test_function("quad1"), 30, seed=2)
+        np.testing.assert_allclose(s.rows, s.inputs, atol=1e-14)
 
-    @pytest.mark.parametrize("standardized", [False, True])
-    def test_rows_are_the_draw_made_read_only(self, monkeypatch, standardized):
+    def test_rows_are_the_draw_made_read_only(self, monkeypatch):
         draws = []
 
         def recording_draw(*args):
@@ -257,9 +253,12 @@ class TestGenerateSamples:
             return draws[-1]
 
         monkeypatch.setattr(ridgerec.testfns, "draw", recording_draw)
-        s = generate_samples(get_test_function("hartmann"), 40, seed=3,
-                             standardized=standardized)
+        fn = get_test_function("hartmann")
+        s = generate_samples(fn, 40, seed=3)
         assert s.rows is draws[0]
+        std = fit_standardizer(fn.measure)
+        np.testing.assert_array_equal(s.standardizer.mean, std.mean)
+        np.testing.assert_array_equal(s.standardizer.whitening, std.whitening)
         assert not s.rows.flags.writeable and not s.outputs.flags.writeable
 
     def test_evaluator_output_is_copied(self):
