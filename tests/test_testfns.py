@@ -245,7 +245,9 @@ class TestGenerateSamples:
         s = generate_samples(get_test_function("quad1"), 30, seed=2)
         np.testing.assert_allclose(s.rows, s.inputs, atol=1e-14)
 
-    def test_rows_are_the_draw_made_read_only(self, monkeypatch):
+    @pytest.mark.parametrize("inputs_read", [False, True])
+    def test_rows_are_the_draw_made_read_only(self, monkeypatch, inputs_read):
+        """Whitening ``inputs`` on first read leaves the rows the frozen draw."""
         draws = []
 
         def recording_draw(*args):
@@ -255,6 +257,9 @@ class TestGenerateSamples:
         monkeypatch.setattr(ridgerec.testfns, "draw", recording_draw)
         fn = get_test_function("hartmann")
         s = generate_samples(fn, 40, seed=3)
+        if inputs_read:
+            assert not s.inputs.flags.writeable
+            assert not np.allclose(s.inputs, draws[0])
         assert s.rows is draws[0]
         std = fit_standardizer(fn.measure)
         np.testing.assert_array_equal(s.standardizer.mean, std.mean)
