@@ -45,11 +45,11 @@ from typing import Optional
 import numpy as np
 
 from ridgerec.core import METHODS, SampleSet, Standardizer, validate_sample_set, write_atomic
-from ridgerec.estimators import estimate
+from ridgerec.estimators import check_estimate_rules, estimate
 from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
 from ridgerec.measures import (WHITENING_DEFECT_LIMIT, InputMeasure, fit_standardizer,
                                standardize, whitening_defect)
-from ridgerec.slicing import SCHEMES, check_slice_count, default_slice_count
+from ridgerec.slicing import SCHEMES, default_slice_count
 from ridgerec.spectral import gap_profile
 from ridgerec.testfns import TEST_FUNCTION_NAMES, generate_samples, get_test_function
 
@@ -211,17 +211,35 @@ def _refuse(args: argparse.Namespace, source: str, *dests: str) -> None:
         raise UsageError(f"{' and '.join(names)} cannot be used with {source}")
 
 
+def _slice_count(args: argparse.Namespace, n_samples: int, m: int) -> int:
+    """The slice count for ``n_samples`` rows of ``m`` inputs, once the estimate rules hold."""
+    n_slices = args.slices or default_slice_count(n_samples)
+    try:
+        check_estimate_rules(args.command, args.dim, m, args.slice_scheme, n_slices, n_samples,
+                             "the sample count")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return n_slices
+
+
 def _obtain_samples(args: argparse.Namespace):
-    """Either generate from a built-in model or ingest a CSV."""
+    """Generate from a built-in model or ingest a CSV; return the set, its source and slice count.
+
+    The estimate rules are checked before a model is drawn, and as soon
+    as a file is read.
+    """
     if (args.input is None) == (args.function is None):
         raise UsageError("exactly one of --function or --input is required")
     if args.function is not None:
         _refuse(args, "--function", "assume_standardized", "measure")
         fn = get_test_function(args.function)
-        return generate_samples(fn, _require(args.n, "--n"), args.seed or 0), args.function
+        n = _require(args.n, "--n")
+        n_slices = _slice_count(args, n, fn.dimension)
+        return generate_samples(fn, n, args.seed or 0), args.function, n_slices
 
     _refuse(args, "--input", "n", "seed")
     s = read_samples_csv(Path(args.input))
+    n_slices = _slice_count(args, s.n_samples, s.dimension)
     violations = validate_sample_set(s)
     if violations:
         raise UsageError("ingested samples are invalid: " + "; ".join(violations))
@@ -244,20 +262,12 @@ def _obtain_samples(args: argparse.Namespace):
             "ingested samples need either --assume-standardized or a "
             "\"measure\" spec in the config file to standardize against"
         )
-    return standardize(s, std), args.input
+    return standardize(s, std), args.input, n_slices
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    s, source = _obtain_samples(args)
+    s, source, n_slices = _obtain_samples(args)
     m = s.dimension
-    if args.dim > m:
-        raise UsageError(f"--dim {args.dim}: the requested dimension exceeds input dimension {m}")
-    n_slices = args.slices or default_slice_count(s.n_samples)
-    try:
-        check_slice_count(args.slice_scheme, n_slices, s.n_samples, "the sample count")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
     est = estimate(s, n_slices, args.slice_scheme, args.command, args.dim)
     profile = gap_profile(est.spectrum)
     stats_counts = est.partition.counts

@@ -2,8 +2,10 @@
 
 All containers, here and in the other modules, are frozen dataclasses
 holding read-only numpy arrays, so instances can be shared freely across
-threads: the whitened rows that :attr:`SampleSet.inputs` computes on
-first read hold the same values whichever thread computes them.
+threads, as :func:`ridgerec.experiments.run_convergence` shares the
+truth spectrum and the model across its trial threads: the whitened rows
+that :attr:`SampleSet.inputs` computes on first read hold the same
+values whichever thread computes them.
 :data:`METHODS` is the one list of estimator names.  Validation
 of sample sets is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time

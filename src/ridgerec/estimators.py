@@ -22,6 +22,7 @@ import numpy as np
 
 from ridgerec.core import METHODS, SampleSet, SdrEstimate
 from ridgerec.slicing import (
+    SCHEMES,
     SlicePartition,
     SliceStats,
     partition_equal_count,
@@ -40,6 +41,38 @@ def save_matrix(stats: SliceStats) -> np.ndarray:
     """Weighted squares of the covariance defects: (1/N) sum_r N_r (I - Sigma_r)^2."""
     d = np.eye(stats.dimension) - stats.covariances
     return np.tensordot(stats.counts, d @ d, axes=1) / stats.counts.sum()
+
+
+def check_estimate_rules(method: str, n_components: int, dimension: int, scheme: str,
+                         n_slices: int, n_samples: int, size_name: str) -> None:
+    """Refuse an estimate that cannot run on ``n_samples`` rows of ``dimension`` inputs.
+
+    These are the rules that need no sample: a known method and scheme,
+    1 <= n_components <= dimension, at least one slice, no more
+    equal-count slices than samples, and for SAVE at least two samples in
+    every equal-count slice.  Callers check them before drawing or
+    reading.  :func:`estimate` still checks SAVE's smallest slice after
+    partitioning, since tie runs and fixed-width slices can leave a slice
+    of one that floor(N / R) does not predict.  ``size_name`` says which
+    count ``n_samples`` is, for the messages.  Raises ValueError.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if n_components < 1:
+        raise ValueError("n_components must be at least 1")
+    if n_components > dimension:
+        raise ValueError(f"n_components {n_components}: the requested dimension exceeds "
+                         f"input dimension {dimension}")
+    if n_slices < 1:
+        raise ValueError("n_slices must be at least 1")
+    if scheme == "equal-count" and n_slices > n_samples:
+        raise ValueError(f"{n_slices} equal-count slices need at least as many samples, "
+                         f"but {size_name} is {n_samples}")
+    if scheme == "equal-count" and method == "save" and n_samples // n_slices < 2:
+        raise ValueError(f"SAVE needs at least 2 samples per slice, but {n_slices} "
+                         f"equal-count slices of {size_name} {n_samples} leave a slice with one")
 
 
 def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
+import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -24,11 +27,9 @@ from typing import Optional
 import numpy as np
 
 from ridgerec import __version__
-from ridgerec.core import (METHODS, SampleSet, SdrEstimate, Subspace, SymmetricSpectrum,
-                           _freeze, write_atomic)
-from ridgerec.estimators import estimate
+from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, _freeze, write_atomic
+from ridgerec.estimators import check_estimate_rules, estimate
 from ridgerec.measures import derive_seed, generator
-from ridgerec.slicing import SCHEMES, check_slice_count
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -42,12 +43,11 @@ class StudyConfig:
     """Everything that determines a convergence study.
 
     No field has a default; the ``converge`` flags hold them.  Construction,
-    before any surrogate is drawn, checks for at least one slice, a known
-    ``method`` and ``scheme``, ``n_components`` within the input dimension
-    of ``function``, ascending ``sizes``, a surrogate at least 10x the
-    largest size so its own error is negligible on the study's scale,
-    and, for equal-count slicing, no more slices than the smallest size
-    has samples and, for SAVE, at least two samples per slice there.
+    before any surrogate is drawn, checks for ascending ``sizes``, at least
+    one trial, a surrogate at least 10x the largest size so its own error
+    is negligible on the study's scale, and the estimate rules
+    (:func:`~ridgerec.estimators.check_estimate_rules`) at the smallest
+    size and the input dimension of ``function``.
     """
 
     function: str
@@ -63,16 +63,6 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be at least 1")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        m = get_test_function(self.function).dimension
-        if self.n_components < 1:
-            raise ValueError("n_components must be at least 1")
-        if self.n_components > m:
-            raise ValueError(f"n_components {self.n_components}: the requested dimension "
-                             f"exceeds input dimension {m} of {self.function}")
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
@@ -81,14 +71,9 @@ class StudyConfig:
             raise ValueError("trials must be at least 1")
         if self.truth_size < 10 * max(self.sizes):
             raise ValueError("truth surrogate size must be at least 10x the largest size")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        check_slice_count(self.scheme, self.n_slices, self.sizes[0], "the smallest size")
-        if (self.scheme == "equal-count" and self.method == "save"
-                and self.sizes[0] // self.n_slices < 2):
-            raise ValueError(f"SAVE needs at least 2 samples per slice, but {self.n_slices} "
-                             f"equal-count slices of the smallest size {self.sizes[0]} "
-                             f"leave a slice with one")
+        check_estimate_rules(self.method, self.n_components,
+                             get_test_function(self.function).dimension, self.scheme,
+                             self.n_slices, self.sizes[0], "the smallest size")
 
 
 @dataclass(frozen=True)
@@ -188,35 +173,51 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, as ``taskset`` or a cgroup cpuset limits them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
     """Run the full study: per-size trials against the truth surrogate.
 
-    Trial seeds derive from (master seed, size index, trial index), so
-    the study is reproducible and trials are independent.  Any trial
-    failure propagates; no record is silently skipped.
+    The surrogate is loaded or built first.  The (size, trial) jobs then
+    run on a thread pool with one thread per CPU the process may use
+    (``taskset`` limits them); numpy releases the GIL in the draw and the
+    linear algebra.  Trial seeds derive from (master seed, size index,
+    trial index), so trials are independent, and records come back in
+    (size, trial) order, so the study is byte-identical at any CPU count.
+    Any trial failure, or an interrupt, cancels the trials not yet
+    started and propagates once the running ones end; no record is
+    silently skipped and no thread outlives the call.
     """
     truth = truth_surrogate(cfg, cache_dir)
     truth_sub = Subspace(truth.eigenvectors[:, : cfg.n_components])
     fn = get_test_function(cfg.function)
 
-    records = []
-    for size_index, n in enumerate(cfg.sizes):
-        for trial in range(cfg.trials):
-            seed = derive_seed(cfg.seed, size_index, trial)
-            s = generate_samples(fn, n, seed)
-            est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
-            records.append(
-                TrialRecord(
-                    size=n,
-                    trial=trial,
-                    n_r_min=est.partition.min_count,
-                    eig_mse_norm=eigenvalue_error(
-                        est.spectrum.eigenvalues, truth.eigenvalues
-                    ),
-                    subspace_dist=subspace_distance(truth_sub, est.subspace),
-                )
-            )
-    return ConvergenceStudy(config=cfg, records=tuple(records), truth=truth)
+    def run_trial(job: tuple) -> TrialRecord:
+        size_index, trial = job
+        n = cfg.sizes[size_index]
+        s = generate_samples(fn, n, derive_seed(cfg.seed, size_index, trial))
+        est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
+        return TrialRecord(
+            size=n,
+            trial=trial,
+            n_r_min=est.partition.min_count,
+            eig_mse_norm=eigenvalue_error(est.spectrum.eigenvalues, truth.eigenvalues),
+            subspace_dist=subspace_distance(truth_sub, est.subspace),
+        )
+
+    pool = ThreadPoolExecutor(max_workers=_available_cpus())
+    try:
+        records = tuple(pool.map(run_trial, itertools.product(range(len(cfg.sizes)),
+                                                              range(cfg.trials))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return ConvergenceStudy(config=cfg, records=records, truth=truth)
 
 
 # ---------------------------------------------------------------------------

@@ -143,17 +143,6 @@ def default_slice_count(n_samples: int) -> int:
     return max(1, min(max(5, int(np.sqrt(n_samples))), 50, n_samples))
 
 
-def check_slice_count(scheme: str, n_slices: int, n_samples: int, size_name: str) -> None:
-    """Refuse more equal-count slices than samples, as each slice needs one.
-
-    ``size_name`` says which count ``n_samples`` is, for the message.
-    Raises ValueError.
-    """
-    if scheme == "equal-count" and n_slices > n_samples:
-        raise ValueError(f"{n_slices} equal-count slices need at least as many samples, "
-                         f"but {size_name} is {n_samples}")
-
-
 def _as_response_vector(outputs) -> np.ndarray:
     y = np.asarray(outputs, dtype=np.float64).ravel()
     if y.size < 1:
@@ -261,6 +250,7 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
     if np.any(lo < b[:-1]) or np.any(hi > b[1:]):
         raise ValueError("partition does not match sample set (responses out of slice)")
+    del ys  # the N-sized gather is not needed past the check
 
     m = s.dimension
     means = np.empty((partition.n_slices, m))
@@ -269,8 +259,8 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
         xs = np.take(s.rows, ix, axis=0)
         means[r] = xs.mean(axis=0)
         if len(ix) > 1:
-            xc = xs - means[r]
-            covs[r] = xc.T @ xc / (len(ix) - 1)
+            xs -= means[r]  # the gather is a copy of its own: center it in place
+            covs[r] = xs.T @ xs / (len(ix) - 1)
     std = s.standardizer
     if std is not None and not std.is_identity:
         W = std.whitening

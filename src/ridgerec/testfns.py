@@ -99,7 +99,10 @@ def quad3(B: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     _check_outside_span(B, b)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = x @ B
-    return np.einsum("ij,ij->i", t, t) + x @ b
+    y = np.einsum("ij,ij->i", t, t)
+    del t  # free the N x k product before the N-vector x @ b is made
+    y += x @ b
+    return y
 
 
 def _check_outside_span(B: np.ndarray, b: np.ndarray) -> None:

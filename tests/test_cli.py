@@ -379,9 +379,41 @@ class TestEstimateCommands:
         assert not (tmp_path / "from_config").exists()
 
     def test_save_single_sample_slices_refused(self, tmp_path, capsys):
+        """floor(N / R) < 2 equal-count slices: a usage error, found before any draw."""
         out = tmp_path / "out"
         assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
-                   "--out", str(out)) == 1
+                   "--out", str(out)) == 2
+        assert ("SAVE needs at least 2 samples per slice, but 40 equal-count slices of the "
+                "sample count 60 leave a slice with one") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["sir", "--n", "1000000", "--dim", "11"], "exceeds input dimension 10"),
+        (["sir", "--n", "1000000", "--slices", "2000000"], "2000000 equal-count slices"),
+        (["save", "--n", "60", "--slices", "40"], "SAVE needs at least 2 samples per slice"),
+    ])
+    def test_rules_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, flags, message):
+        def drawing(*args):
+            raise AssertionError("the model was drawn")
+
+        monkeypatch.setattr(ridgerec.cli, "generate_samples", drawing)
+        assert run(flags[0], "--function", "quad1", *flags[1:], "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_rules_use_the_row_count_of_a_file(self, tmp_path, capsys):
+        csv = tmp_path / "samples.csv"
+        write_samples_csv(csv, np.eye(3)[[0, 1, 2, 0, 1, 2]], np.arange(6.0))
+        out = tmp_path / "out"
+        assert run("save", "--input", str(csv), "--assume-standardized", "--slices", "4",
+                   "--out", str(out)) == 2
+        assert "4 equal-count slices of the sample count 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_save_single_sample_fixed_slice_fails_after_partition(self, tmp_path, capsys):
+        """Only the partition shows a one-sample fixed-width slice: a runtime failure."""
+        out = tmp_path / "out"
+        assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
+                   "--slice-scheme", "fixed", "--out", str(out)) == 1
         assert "smallest slice has 1" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,5 +1,8 @@
 """SIR and SAVE matrices against hand values and brute-force oracles."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -342,3 +345,26 @@ class TestMomentWhitening:
         for method in MATRICES:
             for scheme in SCHEMES:
                 estimate(s, 4, scheme, method, 2)
+
+    def test_concurrent_estimates_on_one_shared_set_agree(self):
+        """The sharing ``run_convergence`` relies on: threads, one set, a non-identity map."""
+        measure = PARITY_MEASURES["gaussian"](generator(35))
+        std = fit_standardizer(measure)
+        assert not std.is_identity
+        x = draw(measure, 3000, seed=36)
+        s = standardize(SampleSet(inputs=x, outputs=ridge_response(whitened_rows(x, std), 37)),
+                        std)
+        jobs = [(method, scheme) for method in MATRICES for scheme in SCHEMES] * 4
+
+        def spectrum_bytes(job):
+            spec = estimate(s, 8, job[1], job[0], 3).spectrum
+            return spec.matrix.tobytes() + spec.eigenvectors.tobytes()
+
+        serial = [spectrum_bytes(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-estimate
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(spectrum_bytes, jobs, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)

@@ -2,15 +2,19 @@
 
 import re
 import shutil
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ridgerec import experiments
-from ridgerec.core import SampleSet
+from ridgerec.core import SampleSet, Subspace
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
     StudyConfig,
+    TrialRecord,
     bootstrap_eigenvalues,
     eigenvalue_error,
     gap_dependence_check,
@@ -20,6 +24,7 @@ from ridgerec.experiments import (
     summary_plot_data,
     truth_surrogate,
 )
+from ridgerec.measures import derive_seed
 from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -240,6 +245,79 @@ class TestRunConvergence:
             [r.subspace_dist for r in study.records if r.size == 200]
         )
         assert means[200] == pytest.approx(manual)
+
+
+def serial_records(cfg, truth):
+    """The study's trials one after another, in (size, trial) order: the loop oracle."""
+    fn = get_test_function(cfg.function)
+    truth_sub = Subspace(truth.eigenvectors[:, : cfg.n_components])
+    records = []
+    for size_index, n in enumerate(cfg.sizes):
+        for trial in range(cfg.trials):
+            s = generate_samples(fn, n, derive_seed(cfg.seed, size_index, trial))
+            est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
+            records.append(TrialRecord(
+                size=n, trial=trial, n_r_min=est.partition.min_count,
+                eig_mse_norm=eigenvalue_error(est.spectrum.eigenvalues, truth.eigenvalues),
+                subspace_dist=subspace_distance(truth_sub, est.subspace)))
+    return tuple(records)
+
+
+class TestParallelTrials:
+    @pytest.mark.parametrize("function, method, scheme, n_components", [
+        ("quad1", "save", "equal-count", 1),
+        ("quad1", "sir", "fixed", 1),
+        ("quad3", "sir", "equal-count", 3),
+        ("quad3", "save", "equal-count", 3),
+        ("quad3", "sir", "fixed", 3),
+        ("hartmann", "sir", "equal-count", 2),
+        ("hartmann", "save", "equal-count", 2),
+        ("hartmann", "sir", "fixed", 2),
+    ])
+    def test_records_equal_the_serial_loop_bit_for_bit(self, tmp_path, function, method,
+                                                       scheme, n_components):
+        cfg = small_config(function=function, method=method, scheme=scheme,
+                           n_components=n_components, sizes=(200, 300, 400), trials=3)
+        threads = threading.active_count()
+        study = run_convergence(cfg, tmp_path)
+        assert threading.active_count() == threads
+        assert study.records == serial_records(cfg, study.truth)
+        assert [(r.size, r.trial) for r in study.records] == [
+            (n, t) for n in cfg.sizes for t in range(cfg.trials)]
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_records_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, threads):
+        cfg = small_config(function="quad3", n_components=3, sizes=(200, 300), trials=8)
+        default = run_convergence(cfg, tmp_path).records
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-trial
+        try:
+            assert run_convergence(cfg, tmp_path).records == default
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_trial_cancels_the_rest(self, tmp_path, monkeypatch, error):
+        cfg = small_config(sizes=(200, 300, 400), trials=10)
+        truth_surrogate(cfg, tmp_path)  # a cache hit below: every estimate is a trial
+        calls, lock = [], threading.Lock()
+
+        def failing(*args):
+            with lock:
+                calls.append(args)
+                first = len(calls) == 1
+            if first:
+                raise error("trial failed")
+            time.sleep(0.02)  # the other trials take long enough to be cancelled
+            return estimate(*args)
+
+        monkeypatch.setattr(experiments, "estimate", failing)
+        threads = threading.active_count()
+        with pytest.raises(error, match="trial failed"):
+            run_convergence(cfg, tmp_path)
+        assert threading.active_count() == threads
+        assert 1 <= len(calls) < len(cfg.sizes) * cfg.trials
 
 
 class TestGapDependence:
