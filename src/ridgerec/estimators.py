@@ -84,6 +84,30 @@ def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:
     raise ValueError(f"unknown slicing scheme {scheme!r}")
 
 
+def method_partition(outputs, n_slices: int, scheme: str, method: str) -> SlicePartition:
+    """:func:`make_partition`, refusing a SAVE partition with a one-sample slice."""
+    partition = make_partition(outputs, n_slices, scheme)
+    if method == "save" and partition.min_count < 2:
+        # A one-sample slice has zero covariance and adds a full-weight I term.
+        raise ValueError(
+            f"SAVE needs at least 2 samples per slice, but the smallest slice has "
+            f"{partition.min_count}; use fewer slices"
+        )
+    return partition
+
+
+def estimate_from_stats(stats: SliceStats, partition: SlicePartition, method: str,
+                        n_components: int) -> SdrEstimate:
+    """The estimate record of ``method``'s matrix of ``stats`` and its spectrum."""
+    spectrum = decompose(sir_matrix(stats) if method == "sir" else save_matrix(stats))
+    return SdrEstimate(
+        method=method,
+        spectrum=spectrum,
+        partition=partition,
+        n_requested=n_components,
+    )
+
+
 def estimate(
     s: SampleSet,
     n_slices: int,
@@ -118,18 +142,5 @@ def estimate(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
-    partition = make_partition(s.outputs, n_slices, scheme)
-    if method == "save" and partition.min_count < 2:
-        # A one-sample slice has zero covariance and adds a full-weight I term.
-        raise ValueError(
-            f"SAVE needs at least 2 samples per slice, but the smallest slice has "
-            f"{partition.min_count}; use fewer slices"
-        )
-    stats = slice_stats(s, partition)
-    spectrum = decompose(sir_matrix(stats) if method == "sir" else save_matrix(stats))
-    return SdrEstimate(
-        method=method,
-        spectrum=spectrum,
-        partition=partition,
-        n_requested=n_components,
-    )
+    partition = method_partition(s.outputs, n_slices, scheme, method)
+    return estimate_from_stats(slice_stats(s, partition), partition, method, n_components)

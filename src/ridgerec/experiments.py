@@ -1,9 +1,12 @@
 """Monte Carlo studies of estimator convergence, bootstrap ranges, and plots.
 
 The population estimator matrices are not available in closed form, so a
-very-high-N run (the "truth surrogate") stands in for them.  Surrogates
-are cached on disk under a key that is stored in the file and checked on
-load, and the cache write is atomic so readers never observe a partial file.
+very-high-N run (the "truth surrogate") stands in for them.  It is built
+in two streamed passes over fixed-size row chunks, so it never holds the
+N x m draw: memory is O(N + R m^2) plus one chunk per worker thread.
+Surrogates are cached on disk under a key that is stored in the file and
+checked on load, and the cache write is atomic so readers never observe a
+partial file.
 
 A convergence study runs T independent trials at each sample size with
 seeds derived from a master seed, records the normalized eigenvalue error
@@ -20,6 +23,7 @@ import itertools
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -28,14 +32,26 @@ import numpy as np
 
 from ridgerec import __version__
 from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, _freeze, write_atomic
-from ridgerec.estimators import check_estimate_rules, estimate
-from ridgerec.measures import derive_seed, generator
+from ridgerec.estimators import (
+    check_estimate_rules,
+    estimate,
+    estimate_from_stats,
+    method_partition,
+)
+from ridgerec.measures import derive_seed, draw_rows, fit_standardizer, generator, generator_at
+from ridgerec.slicing import slice_labels, slice_scatter, whitened_slice_stats
 from ridgerec.spectral import subspace_distance
-from ridgerec.testfns import generate_samples, get_test_function
+from ridgerec.testfns import TestFunction, generate_samples, get_test_function
 
 #: Layout and summation order of a cached surrogate file, part of its key.
-#: Format 2: slice moments are taken on raw rows and whitened afterwards.
-SURROGATE_FORMAT = 2
+#: Format 2 took slice moments on raw rows and whitened them afterwards.
+#: Format 3 streams the rows in chunks of ``SURROGATE_CHUNK_ROWS`` and
+#: merges each chunk's slice moments in chunk order.
+SURROGATE_FORMAT = 3
+
+#: Rows per chunk of a streamed surrogate build.  It sets the order in
+#: which slice moments are summed, so it is part of the cache key.
+SURROGATE_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -127,21 +143,23 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     """High-N estimate standing in for the population matrix, cached in ``cache_dir``.
 
     The file is named by a key that it also stores: a digest of the file
-    format, the package version, the study fields that shape the surrogate
-    (not sizes, trials, seed or n_components, so such studies share one
-    build) and the model's standardized inputs and responses at a fixed
-    probe, which cover its coefficients, constants and measure.  A file
-    that is unreadable, holds another key or fails the spectrum's checks
-    is rebuilt; a hit reproduces the spectrum bit for bit.
+    format, the chunk size, the package version, the study fields that
+    shape the surrogate (not sizes, trials, seed or n_components, so such
+    studies share one build) and the model's standardized inputs and
+    responses at a fixed probe, which cover its coefficients, constants and
+    measure.  A file that is unreadable, holds another key or fails the
+    spectrum's checks is rebuilt by :func:`_stream_surrogate`; a hit
+    reproduces the spectrum bit for bit.
     """
     fn = get_test_function(cfg.function)
     probe = generate_samples(fn, 64, 0)
     fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
-    key = hashlib.sha256(repr((SURROGATE_FORMAT, __version__, fields)).encode()
+    layout = (SURROGATE_FORMAT, SURROGATE_CHUNK_ROWS, __version__, fields)
+    key = hashlib.sha256(repr(layout).encode()
                          + probe.inputs.tobytes() + probe.outputs.tobytes()).hexdigest()
     path = Path(cache_dir) / f"truth-{key}.npz"
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as f, np.load(f) as data:
             if str(data["key"]) == key:
                 return SymmetricSpectrum(
                     matrix=data["matrix"],
@@ -150,9 +168,7 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
                 )
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         pass  # missing or unreadable: rebuild
-    s = generate_samples(fn, cfg.truth_size, cfg.truth_seed)
-    est = estimate(s, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
-    spec = est.spectrum
+    spec = _stream_surrogate(fn, cfg)
     buf = io.BytesIO()
     np.savez(buf, key=key, matrix=spec.matrix, eigenvalues=spec.eigenvalues,
              eigenvectors=spec.eigenvectors)
@@ -161,6 +177,69 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     except OSError as exc:
         raise OSError(f"cannot write truth surrogate cache file {path}: {exc}") from exc
     return spec
+
+
+def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
+    """The spectrum of ``cfg``'s estimate on ``cfg.truth_size`` draws of ``fn``, streamed.
+
+    The draw is the one :func:`~ridgerec.testfns.generate_samples` makes
+    with ``cfg.truth_seed``, taken in chunks of ``SURROGATE_CHUNK_ROWS``.
+    Pass 1 draws the chunks in sequence from one generator and records
+    the generator's state before each; the pool evaluates one chunk while
+    the next is drawn.  Only the responses are kept, and they are
+    partitioned as :func:`~ridgerec.estimators.estimate` does.  Pass 2
+    redraws each chunk from its state on the pool, checks that its
+    responses lie in their slices, and takes each slice's count, mean and
+    centered sum of outer products of the raw rows.  The main thread
+    merges the chunks in chunk order with the pairwise update of Chan,
+    Golub & LeVeque (1979), so the result does not depend on the CPU
+    count, and whitens the R merged moments.
+    """
+    n, step = cfg.truth_size, SURROGATE_CHUNK_ROWS
+    rng = generator(cfg.truth_seed)
+    states, y = [], np.empty(n)
+
+    def evaluate(a: int, x: np.ndarray) -> None:
+        y[a:a + len(x)] = np.ravel(fn.evaluator(x))
+
+    def chunk_moments(k: int) -> tuple:
+        x = draw_rows(fn.measure, min(step, n - k * step), generator_at(states[k]))
+        x.setflags(write=False)
+        lab = labels[k * step:k * step + len(x)]
+        out = np.ravel(fn.evaluator(x))
+        if np.any(out < bounds[:-1][lab]) or np.any(out > bounds[1:][lab]):
+            raise ValueError("partition does not match sample set (responses out of slice)")
+        counts = np.bincount(lab, minlength=partition.n_slices)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return (counts, *slice_scatter(x, np.argsort(lab, kind="stable"), offsets))
+
+    with _cpu_pool() as pool:
+        evaluating = None
+        for a in range(0, n, step):
+            states.append(rng.bit_generator.state)
+            x = draw_rows(fn.measure, min(step, n - a), rng)
+            x.setflags(write=False)  # before the evaluator, which may be caller code
+            if evaluating is not None:
+                evaluating.result()
+            evaluating = pool.submit(evaluate, a, x)
+        evaluating.result()
+        partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
+        del y  # pass 2 evaluates each chunk again
+        labels, bounds = slice_labels(partition), partition.boundaries
+
+        counts = np.zeros(partition.n_slices, dtype=np.intp)
+        means = np.zeros((partition.n_slices, fn.dimension))
+        scatter = np.zeros((partition.n_slices, fn.dimension, fn.dimension))
+        for c, mu, sc in pool.map(chunk_moments, range(len(states))):
+            total = counts + c
+            share = np.divide(c, total, out=np.zeros(len(c)), where=c > 0)
+            delta = mu - means
+            means += delta * share[:, None]
+            # n_a n_b / n (d d'), formed so that it stays exactly symmetric
+            scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
+            counts = total
+    stats = whitened_slice_stats(counts, means, scatter, fit_standardizer(fn.measure))
+    return estimate_from_stats(stats, partition, cfg.method, cfg.n_components).spectrum
 
 
 def eigenvalue_error(estimated: np.ndarray, truth: np.ndarray) -> float:
@@ -179,6 +258,21 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@contextmanager
+def _cpu_pool():
+    """A thread pool with one thread per available CPU, shut down on leaving the block.
+
+    Leaving cancels the jobs not yet started and waits for the running
+    ones, so an error or an interrupt propagates only once no pool thread
+    is left.
+    """
+    pool = ThreadPoolExecutor(max_workers=_available_cpus())
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
@@ -211,12 +305,9 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
             subspace_dist=subspace_distance(truth_sub, est.subspace),
         )
 
-    pool = ThreadPoolExecutor(max_workers=_available_cpus())
-    try:
+    with _cpu_pool() as pool:
         records = tuple(pool.map(run_trial, itertools.product(range(len(cfg.sizes)),
                                                               range(cfg.trials))))
-    finally:
-        pool.shutdown(cancel_futures=True)
     return ConvergenceStudy(config=cfg, records=records, truth=truth)
 
 

@@ -52,6 +52,13 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+def generator_at(state: dict) -> np.random.Generator:
+    """A generator restored to a ``bit_generator.state`` that :func:`generator` recorded."""
+    bits = np.random.Philox(key=0)
+    bits.state = state
+    return np.random.Generator(bits)
+
+
 # ---------------------------------------------------------------------------
 # Measures
 # ---------------------------------------------------------------------------
@@ -116,9 +123,22 @@ def draw(measure: InputMeasure, n_samples: int, seed: int) -> np.ndarray:
     sample 1, so prefixes of a larger draw match smaller draws with the
     same seed.
     """
+    return draw_rows(measure, n_samples, generator(seed))
+
+
+def draw_rows(measure: InputMeasure, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the next ``n_samples`` rows of ``rng``'s row-major stream; returns (N, m).
+
+    Chunks drawn in sequence from one generator are the rows of one draw
+    of their total size: bit for bit for the standard Gaussian, the
+    uniform box and a Gaussian with diagonal covariance.  A dense Cholesky
+    factor is applied by a matrix product whose rounding may depend on a
+    row's place in the call, so there they agree to a few ulps.  A chunk
+    redrawn from the state its generator held before it (see
+    :func:`generator_at`) repeats it bit for bit.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rng = generator(seed)
     m = measure.dimension
     if measure.kind == "standard-gaussian":
         x = rng.standard_normal((n_samples, m))

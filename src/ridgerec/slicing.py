@@ -31,10 +31,11 @@ in one slice with boundaries [y, y], which the partition reports as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, _freeze
+from ridgerec.core import SampleSet, Standardizer, _freeze
 
 SCHEMES = ("fixed", "equal-count")
 
@@ -228,17 +229,70 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     )
 
 
+def slice_labels(partition: SlicePartition) -> np.ndarray:
+    """Each sample's slice index, in the narrowest unsigned type that holds R.
+
+    Raises if ``order`` misses a sample index, as it must if it repeats
+    one, since it holds N entries: such a partition was not made from
+    these samples.
+    """
+    r = partition.n_slices
+    labels = np.full(partition.n_samples, r, dtype=np.min_scalar_type(r))
+    labels[partition.order] = np.repeat(np.arange(r, dtype=labels.dtype), partition.counts)
+    if np.any(labels == r):
+        raise ValueError("partition does not match sample set (index coverage)")
+    return labels
+
+
+def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Each slice's mean and centered sum of outer products of its rows.
+
+    Slice r holds ``rows[order[offsets[r]:offsets[r + 1]]]``.  Returns the
+    (R, m) means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice
+    with no rows gets zeros, and one with a single row a zero sum.
+    """
+    n_slices, m = len(offsets) - 1, rows.shape[1]
+    means = np.zeros((n_slices, m))
+    scatter = np.zeros((n_slices, m, m))
+    for r in range(n_slices):
+        ix = order[offsets[r]:offsets[r + 1]]
+        if len(ix) == 0:
+            continue
+        xs = np.take(rows, ix, axis=0)
+        means[r] = xs.mean(axis=0)
+        if len(ix) > 1:
+            xs -= means[r]  # the gather is a copy of its own: center it in place
+            scatter[r] = xs.T @ xs
+    return means, scatter
+
+
+def whitened_slice_stats(counts: np.ndarray, means: np.ndarray, scatter: np.ndarray,
+                         std: Optional[Standardizer]) -> SliceStats:
+    """Slice statistics in whitened coordinates from the raw rows' slice moments.
+
+    The covariances are ``scatter / (N_r - 1)``, computed in ``scatter``'s
+    own buffer, which the caller hands over; a single-sample slice's zero
+    sum stays zero.  z = W (x - mean) is affine, so the whitened slice
+    means are W (mu_r - mean) and the covariances W Sigma_r W': O(R m^3)
+    instead of whitening all N rows.  The identity map (or None) is
+    skipped, which is exact.
+    """
+    covs = np.divide(scatter, np.maximum(counts - 1, 1)[:, None, None], out=scatter)
+    if std is not None and not std.is_identity:
+        W = std.whitening
+        means = (means - std.mean) @ W.T
+        covs = W @ covs @ W.T
+    return SliceStats(counts=counts, means=means, covariances=covs)
+
+
 def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     """Compute per-slice counts, means, and covariances in whitened coordinates.
 
     The moments are taken over the stored rows and then mapped through
-    the set's standardizer: z = W (x - mean) is affine, so the whitened
-    slice means are W (mu_r - mean) and the covariances W Sigma_r W'.
-    That costs O(R m^3) instead of whitening all N rows, and the identity
-    map is skipped, which is exact.  Raises if the partition does not
-    cover exactly the sample set's rows or puts a response outside its
-    slice's interval, which guards against pairing a partition with the
-    wrong data.
+    the set's standardizer (:func:`whitened_slice_stats`).  Raises if the
+    partition does not cover exactly the sample set's rows or puts a
+    response outside its slice's interval, which guards against pairing a
+    partition with the wrong data.
     """
     n = s.n_samples
     order, starts = partition.order, partition.offsets[:-1]
@@ -251,19 +305,5 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     if np.any(lo < b[:-1]) or np.any(hi > b[1:]):
         raise ValueError("partition does not match sample set (responses out of slice)")
     del ys  # the N-sized gather is not needed past the check
-
-    m = s.dimension
-    means = np.empty((partition.n_slices, m))
-    covs = np.zeros((partition.n_slices, m, m))
-    for r, ix in enumerate(partition.membership):
-        xs = np.take(s.rows, ix, axis=0)
-        means[r] = xs.mean(axis=0)
-        if len(ix) > 1:
-            xs -= means[r]  # the gather is a copy of its own: center it in place
-            covs[r] = xs.T @ xs / (len(ix) - 1)
-    std = s.standardizer
-    if std is not None and not std.is_identity:
-        W = std.whitening
-        means = (means - std.mean) @ W.T
-        covs = W @ covs @ W.T
-    return SliceStats(counts=partition.counts, means=means, covariances=covs)
+    means, scatter = slice_scatter(s.rows, order, partition.offsets)
+    return whitened_slice_stats(partition.counts, means, scatter, s.standardizer)

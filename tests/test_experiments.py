@@ -1,15 +1,18 @@
 """Convergence studies, truth surrogates, bootstrap, summary plots."""
 
+import gc
 import re
 import shutil
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from ridgerec import experiments
+from ridgerec import experiments, testfns
 from ridgerec.core import SampleSet, Subspace
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
@@ -24,7 +27,7 @@ from ridgerec.experiments import (
     summary_plot_data,
     truth_surrogate,
 )
-from ridgerec.measures import derive_seed
+from ridgerec.measures import derive_seed, generator
 from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -54,15 +57,16 @@ def only_surrogate(cache_dir):
 
 
 @pytest.fixture
-def estimate_calls(monkeypatch):
-    """Count the estimates the experiments module runs from here on."""
+def surrogate_builds(monkeypatch):
+    """Count the truth surrogates the experiments module builds from here on."""
     calls = []
+    build = experiments._stream_surrogate
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return estimate(*args, **kwargs)
+        return build(*args)
 
-    monkeypatch.setattr(experiments, "estimate", counted)
+    monkeypatch.setattr(experiments, "_stream_surrogate", counted)
     return calls
 
 
@@ -93,10 +97,10 @@ class TestStudyConfig:
         (dict(method="sir", n_slices=0), "n_slices must be at least 1"),
         (dict(scheme="fixed", n_slices=0), "n_slices must be at least 1"),
     ])
-    def test_bad_study_fails_before_any_work(self, tmp_path, estimate_calls, overrides, match):
+    def test_bad_study_fails_before_any_work(self, tmp_path, surrogate_builds, overrides, match):
         with pytest.raises(ValueError, match=match):
             run_convergence(small_config(**overrides), tmp_path)
-        assert estimate_calls == []
+        assert surrogate_builds == []
         assert list(tmp_path.iterdir()) == []
 
     def test_fixed_slices_may_outnumber_the_smallest_size(self):
@@ -134,49 +138,67 @@ class TestTruthSurrogate:
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
-    def test_hit_does_not_estimate(self, tmp_path, estimate_calls):
+    def test_hit_does_not_estimate(self, tmp_path, surrogate_builds):
         """Studies that differ only in sizes, trials, seed and n share one build."""
         first = truth_surrogate(small_config(), tmp_path)
-        assert len(estimate_calls) == 1
+        assert len(surrogate_builds) == 1
         other = small_config(sizes=(300,), trials=1, seed=6, n_components=2)
         second = truth_surrogate(other, tmp_path)
-        assert len(estimate_calls) == 1
+        assert len(surrogate_builds) == 1
         assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
-    def test_format_1_file_is_rebuilt(self, tmp_path, monkeypatch, estimate_calls):
-        """Format 2 whitens slice moments, not rows, so format-1 spectra differ in the last bits."""
-        assert experiments.SURROGATE_FORMAT == 2
+    def test_format_2_file_is_rebuilt(self, tmp_path, monkeypatch, surrogate_builds):
+        """Format 3 streams the rows in chunks, so format-2 spectra differ in the last bits."""
+        assert experiments.SURROGATE_FORMAT == 3
         cfg = small_config(function="hartmann", n_components=2)
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "SURROGATE_FORMAT", 1)
+            patch.setattr(experiments, "SURROGATE_FORMAT", 2)
             truth_surrogate(cfg, tmp_path)
         assert len(list(tmp_path.glob("truth-*.npz"))) == 1
         truth_surrogate(cfg, tmp_path)
-        assert len(estimate_calls) == 2
+        assert len(surrogate_builds) == 2
         assert len(list(tmp_path.glob("truth-*.npz"))) == 2
         truth_surrogate(cfg, tmp_path)
-        assert len(estimate_calls) == 2
+        assert len(surrogate_builds) == 2
 
-    def test_truncated_file_is_rebuilt(self, tmp_path, estimate_calls):
+    def test_chunk_size_is_part_of_the_key(self, tmp_path, monkeypatch, surrogate_builds):
+        cfg = small_config()
+        truth_surrogate(cfg, tmp_path)
+        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 1000)
+        truth_surrogate(cfg, tmp_path)
+        assert len(surrogate_builds) == 2
+        assert len(list(tmp_path.glob("truth-*.npz"))) == 2
+
+    def test_truncated_file_is_rebuilt(self, tmp_path, surrogate_builds):
         clean = run_convergence(small_config(), tmp_path / "clean")
         path = only_surrogate(tmp_path / "clean")
         path.write_bytes(path.read_bytes()[:100])
         rebuilt = run_convergence(small_config(), tmp_path / "clean")
         assert rebuilt.records == clean.records
         assert rebuilt.truth.eigenvalues.tobytes() == clean.truth.eigenvalues.tobytes()
-        calls = len(estimate_calls)
+        calls = len(surrogate_builds)
         truth_surrogate(small_config(), tmp_path / "clean")
-        assert len(estimate_calls) == calls  # the rebuilt file is a hit
+        assert len(surrogate_builds) == calls  # the rebuilt file is a hit
 
-    def test_file_holding_another_key_is_rebuilt(self, tmp_path, estimate_calls):
+    def test_truncated_file_leaves_no_handle_open(self, tmp_path):
+        truth_surrogate(small_config(), tmp_path)
+        path = only_surrogate(tmp_path)
+        path.write_bytes(path.read_bytes()[:100])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            truth_surrogate(small_config(), tmp_path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_file_holding_another_key_is_rebuilt(self, tmp_path, surrogate_builds):
         """Another model's surrogate under this model's file name is not trusted."""
         cfg = small_config(function="quad3")
         clean = truth_surrogate(cfg, tmp_path / "quad3")
         truth_surrogate(small_config(), tmp_path / "quad1")
         shutil.copy(only_surrogate(tmp_path / "quad1"), only_surrogate(tmp_path / "quad3"))
-        calls = len(estimate_calls)
+        calls = len(surrogate_builds)
         spec = truth_surrogate(cfg, tmp_path / "quad3")
-        assert len(estimate_calls) == calls + 1
+        assert len(surrogate_builds) == calls + 1
         assert spec.eigenvalues.tobytes() == clean.eigenvalues.tobytes()
         assert spec.eigenvectors.tobytes() == clean.eigenvectors.tobytes()
 
@@ -200,6 +222,86 @@ class TestTruthSurrogate:
         spec = truth_surrogate(cfg, tmp_path)
         w = spec.eigenvalues
         assert (w[2] - w[3]) / w[0] > 0.05
+
+
+class TestStreamedSurrogate:
+    """The surrogate is streamed in chunks and never holds the whole draw."""
+
+    @pytest.mark.parametrize("chunk_rows", [1_000, 6_000])  # does not divide N; above N
+    @pytest.mark.parametrize("scheme", ["equal-count", "fixed"])
+    @pytest.mark.parametrize("method", ["sir", "save"])
+    @pytest.mark.parametrize("function, n_components", [("quad1", 1), ("quad3", 3),
+                                                         ("hartmann", 2)])
+    def test_agrees_with_one_estimate_of_the_whole_draw(self, tmp_path, monkeypatch, function,
+                                                        n_components, method, scheme,
+                                                        chunk_rows):
+        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", chunk_rows)
+        cfg = small_config(function=function, method=method, scheme=scheme,
+                           n_components=n_components, n_slices=3, truth_size=5_003)
+        spec = truth_surrogate(cfg, tmp_path)
+        whole = generate_samples(get_test_function(function), cfg.truth_size, cfg.truth_seed)
+        ref = estimate(whole, cfg.n_slices, scheme, method, n_components).spectrum
+        for name in ("matrix", "eigenvalues"):
+            np.testing.assert_allclose(getattr(spec, name), getattr(ref, name), rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref.matrix)))
+
+    @pytest.mark.parametrize("function, n_components", [("quad3", 3), ("hartmann", 2)])
+    def test_file_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, function,
+                                                       n_components):
+        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 500)
+        cfg = small_config(function=function, n_components=n_components, truth_size=4_321)
+        files = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-chunk
+        try:
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(experiments, "_available_cpus", lambda: cpus)
+                truth_surrogate(cfg, tmp_path / str(cpus))
+                files.append(only_surrogate(tmp_path / str(cpus)).read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert files == files[:1] * 4
+
+    def test_non_finite_response_refused(self, tmp_path, monkeypatch):
+        quad1 = get_test_function("quad1")
+
+        def with_nan(x):
+            y = quad1.evaluator(x)
+            y[-1] = np.nan
+            return y
+
+        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
+            name, with_nan, quad1.measure, quad1.true_subspace))
+        with pytest.raises(ValueError, match="responses must be finite"):
+            truth_surrogate(small_config(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_sample_save_slice_refused(self, tmp_path):
+        cfg = small_config(scheme="fixed", n_slices=50)
+        with pytest.raises(ValueError, match="SAVE needs at least 2 samples per slice, but "
+                                             "the smallest slice has 1; use fewer slices"):
+            truth_surrogate(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_redraw_that_misses_its_chunk_refused(self, tmp_path, monkeypatch):
+        """Pass 2 checks each redrawn chunk's responses against its slices."""
+        monkeypatch.setattr(experiments, "generator_at", lambda state: generator(12345))
+        with pytest.raises(ValueError, match="responses out of slice"):
+            truth_surrogate(small_config(), tmp_path)
+
+    def test_memory_stays_below_half_the_draw(self, tmp_path, monkeypatch):
+        """numpy reports its buffers to tracemalloc; two workers hold a chunk each."""
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 2)
+        cfg = small_config(function="quad3", n_components=3, sizes=(1_000,),
+                           n_slices=16, truth_size=200_000)
+        tracemalloc.start()
+        try:
+            truth_surrogate(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.truth_size * 10 * 8 / 2
 
 
 class TestRunConvergence:

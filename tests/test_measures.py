@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ridgerec.core import SampleSet
 from ridgerec.estimators import estimate
@@ -11,8 +13,10 @@ from ridgerec.measures import (
     Standardizer,
     derive_seed,
     draw,
+    draw_rows,
     fit_standardizer,
     generator,
+    generator_at,
     pushforward_direction,
     standardize,
     whitening_defect,
@@ -61,6 +65,53 @@ class TestDraw:
     def test_rejects_inverted_box(self):
         with pytest.raises(ValueError):
             InputMeasure.uniform_box([1.0], [0.0])
+
+
+@st.composite
+def measures(draw_from, dense=False):
+    """A measure of any kind, or a Gaussian with a dense covariance, of dimension 1 to 6."""
+    m = draw_from(st.integers(1, 6))
+    rng = np.random.default_rng(draw_from(st.integers(0, 2**32 - 1)))
+    kind = "dense" if dense else draw_from(
+        st.sampled_from(["standard-gaussian", "gaussian", "uniform-box"]))
+    if kind == "standard-gaussian":
+        return InputMeasure.standard_gaussian(m)
+    if kind == "uniform-box":
+        lower = rng.standard_normal(m)
+        return InputMeasure.uniform_box(lower, lower + rng.uniform(0.1, 3.0, m))
+    a = rng.standard_normal((m, m)) if kind == "dense" else np.diag(rng.uniform(0.1, 2.0, m))
+    return InputMeasure.gaussian(rng.standard_normal(m), a @ a.T + 0.1 * np.eye(m))
+
+
+def chunked(measure, n, chunk_rows, seed):
+    """The draw taken in chunks from one generator, and each chunk redrawn from its state."""
+    rng, in_sequence, redrawn = generator(seed), [], []
+    for a in range(0, n, chunk_rows):
+        state = rng.bit_generator.state
+        in_sequence.append(draw_rows(measure, min(chunk_rows, n - a), rng))
+        redrawn.append(draw_rows(measure, min(chunk_rows, n - a), generator_at(state)))
+    return np.concatenate(in_sequence), np.concatenate(redrawn)
+
+
+class TestChunkedDraw:
+    """The premise of the streamed truth surrogate: a draw can be redrawn chunk by chunk."""
+
+    @given(measures(), st.integers(1, 300), st.integers(1, 320), st.integers(0, 2**64 - 1))
+    def test_chunks_are_the_bytes_of_one_draw(self, measure, n, chunk_rows, seed):
+        whole = draw(measure, n, seed).tobytes()
+        in_sequence, redrawn = chunked(measure, n, chunk_rows, seed)
+        assert in_sequence.tobytes() == whole
+        assert redrawn.tobytes() == whole
+
+    @given(measures(dense=True), st.integers(1, 300), st.integers(1, 320),
+           st.integers(0, 2**64 - 1))
+    def test_dense_covariance_chunks_agree_to_a_few_ulps(self, measure, n, chunk_rows, seed):
+        """The Cholesky product's rounding may depend on a row's place in the call."""
+        whole = draw(measure, n, seed)
+        in_sequence, redrawn = chunked(measure, n, chunk_rows, seed)
+        assert redrawn.tobytes() == in_sequence.tobytes()
+        np.testing.assert_allclose(in_sequence, whole, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(whole)))
 
 
 class TestStandardizer:
