@@ -6,6 +6,10 @@ threads, as :func:`ridgerec.experiments.run_convergence` shares the
 truth spectrum and the model across its trial threads: the whitened rows
 that :attr:`SampleSet.inputs` computes on first read hold the same
 values whichever thread computes them.
+:func:`_cpu_pool` is the one thread pool: one thread per CPU the process
+may use, or none, with the jobs run on the calling thread, for a single
+job, inside a pool thread, where pools would nest, and where one CPU is
+all there is.
 :data:`METHODS` is the one list of estimator names.  Validation
 of sample sets is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time
@@ -17,7 +21,10 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 import uuid
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -43,6 +50,69 @@ def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on, as ``taskset`` or a cgroup cpuset limits them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: ``in_pool`` is set on the threads of a :func:`_cpu_pool`.
+_thread_role = threading.local()
+
+
+def _enter_pool_thread() -> None:
+    _thread_role.in_pool = True
+
+
+def _pool_width() -> int:
+    """The most threads a :func:`_cpu_pool` opened on this thread may run.
+
+    One inside a pool thread, where a pool of its own would nest, and
+    otherwise one per available CPU.
+    """
+    return 1 if getattr(_thread_role, "in_pool", False) else _available_cpus()
+
+
+class _InlineExecutor(Executor):
+    """Runs each job on the calling thread as it is submitted; starts no thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def map(self, fn, *iterables):
+        """Run each job as its result is read, so a failed job leaves the rest unstarted."""
+        return map(fn, *iterables)
+
+
+@contextmanager
+def _cpu_pool(jobs: int):
+    """A thread pool for ``jobs`` jobs, one thread per available CPU, shut down on leaving.
+
+    Where fewer than two jobs could run at once -- one job, a pool
+    thread (:func:`_pool_width`) or one CPU -- the pool is an executor
+    that runs each job on the calling thread, so pools never nest and
+    ``taskset -c 0`` starts no thread.  Leaving cancels the jobs not yet
+    started and waits for the running ones, so an error or an interrupt
+    propagates only once no pool thread is left.
+    """
+    width = min(jobs, _pool_width())
+    if width < 2:
+        yield _InlineExecutor()
+        return
+    pool = ThreadPoolExecutor(max_workers=width, initializer=_enter_pool_thread)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_atomic(path: Path, data: Union[str, bytes, Iterable[bytes]]) -> None:

@@ -20,10 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
-import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -31,27 +28,37 @@ from typing import Optional
 import numpy as np
 
 from ridgerec import __version__
-from ridgerec.core import SampleSet, SdrEstimate, Subspace, SymmetricSpectrum, _freeze, write_atomic
+from ridgerec.core import (
+    SampleSet,
+    SdrEstimate,
+    Subspace,
+    SymmetricSpectrum,
+    _cpu_pool,
+    _freeze,
+    write_atomic,
+)
 from ridgerec.estimators import (
     check_estimate_rules,
     estimate,
     estimate_from_stats,
     method_partition,
 )
-from ridgerec.measures import derive_seed, draw_rows, fit_standardizer, generator, generator_at
+from ridgerec.measures import derive_seed, draw, fit_standardizer, generator, generator_at
 from ridgerec.slicing import slice_labels, slice_scatter, whitened_slice_stats
 from ridgerec.spectral import subspace_distance
-from ridgerec.testfns import TestFunction, generate_samples, get_test_function
+from ridgerec.testfns import (
+    CHUNK_ROWS,
+    TestFunction,
+    evaluate_chunks,
+    generate_samples,
+    get_test_function,
+)
 
 #: Layout and summation order of a cached surrogate file, part of its key.
 #: Format 2 took slice moments on raw rows and whitened them afterwards.
-#: Format 3 streams the rows in chunks of ``SURROGATE_CHUNK_ROWS`` and
-#: merges each chunk's slice moments in chunk order.
+#: Format 3 streams the rows in chunks of ``CHUNK_ROWS`` and merges each
+#: chunk's slice moments in chunk order.
 SURROGATE_FORMAT = 3
-
-#: Rows per chunk of a streamed surrogate build.  It sets the order in
-#: which slice moments are summed, so it is part of the cache key.
-SURROGATE_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     fn = get_test_function(cfg.function)
     probe = generate_samples(fn, 64, 0)
     fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
-    layout = (SURROGATE_FORMAT, SURROGATE_CHUNK_ROWS, __version__, fields)
+    layout = (SURROGATE_FORMAT, CHUNK_ROWS, __version__, fields)
     key = hashlib.sha256(repr(layout).encode()
                          + probe.inputs.tobytes() + probe.outputs.tobytes()).hexdigest()
     path = Path(cache_dir) / f"truth-{key}.npz"
@@ -183,27 +190,30 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     """The spectrum of ``cfg``'s estimate on ``cfg.truth_size`` draws of ``fn``, streamed.
 
     The draw is the one :func:`~ridgerec.testfns.generate_samples` makes
-    with ``cfg.truth_seed``, taken in chunks of ``SURROGATE_CHUNK_ROWS``.
-    Pass 1 draws the chunks in sequence from one generator and records
-    the generator's state before each; the pool evaluates one chunk while
-    the next is drawn.  Only the responses are kept, and they are
-    partitioned as :func:`~ridgerec.estimators.estimate` does.  Pass 2
-    redraws each chunk from its state on the pool, checks that its
-    responses lie in their slices, and takes each slice's count, mean and
-    centered sum of outer products of the raw rows.  The main thread
+    with ``cfg.truth_seed``, taken in chunks of ``CHUNK_ROWS``.  Pass 1
+    draws the chunks in sequence from one generator and records the
+    generator's state before each; a pool thread evaluates one chunk
+    while the next is drawn (:func:`~ridgerec.testfns.evaluate_chunks`),
+    which refuses an output that is not one value per row.  Only the
+    responses are kept, and they are partitioned as
+    :func:`~ridgerec.estimators.estimate` does.  Pass 2 redraws each chunk
+    from its state on the pool, checks that its responses lie in their
+    slices, and takes each slice's count, mean and centered sum of outer
+    products of the raw rows on its pool thread.  The main thread
     merges the chunks in chunk order with the pairwise update of Chan,
     Golub & LeVeque (1979), so the result does not depend on the CPU
     count, and whitens the R merged moments.
     """
-    n, step = cfg.truth_size, SURROGATE_CHUNK_ROWS
+    n, step = cfg.truth_size, CHUNK_ROWS
     rng = generator(cfg.truth_seed)
     states, y = [], np.empty(n)
 
-    def evaluate(a: int, x: np.ndarray) -> None:
-        y[a:a + len(x)] = np.ravel(fn.evaluator(x))
+    def draw_chunk(a: int, c: int) -> np.ndarray:
+        states.append(rng.bit_generator.state)
+        return draw(fn.measure, c, rng)
 
     def chunk_moments(k: int) -> tuple:
-        x = draw_rows(fn.measure, min(step, n - k * step), generator_at(states[k]))
+        x = draw(fn.measure, min(step, n - k * step), generator_at(states[k]))
         x.setflags(write=False)
         lab = labels[k * step:k * step + len(x)]
         out = np.ravel(fn.evaluator(x))
@@ -213,20 +223,12 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return (counts, *slice_scatter(x, np.argsort(lab, kind="stable"), offsets))
 
-    with _cpu_pool() as pool:
-        evaluating = None
-        for a in range(0, n, step):
-            states.append(rng.bit_generator.state)
-            x = draw_rows(fn.measure, min(step, n - a), rng)
-            x.setflags(write=False)  # before the evaluator, which may be caller code
-            if evaluating is not None:
-                evaluating.result()
-            evaluating = pool.submit(evaluate, a, x)
-        evaluating.result()
-        partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
-        del y  # pass 2 evaluates each chunk again
-        labels, bounds = slice_labels(partition), partition.boundaries
+    evaluate_chunks(fn.evaluator, draw_chunk, y, range(0, n, step))
+    partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
+    del y  # pass 2 evaluates each chunk again
+    labels, bounds = slice_labels(partition), partition.boundaries
 
+    with _cpu_pool(len(states)) as pool:
         counts = np.zeros(partition.n_slices, dtype=np.intp)
         means = np.zeros((partition.n_slices, fn.dimension))
         scatter = np.zeros((partition.n_slices, fn.dimension, fn.dimension))
@@ -252,38 +254,18 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on, as ``taskset`` or a cgroup cpuset limits them."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def _cpu_pool():
-    """A thread pool with one thread per available CPU, shut down on leaving the block.
-
-    Leaving cancels the jobs not yet started and waits for the running
-    ones, so an error or an interrupt propagates only once no pool thread
-    is left.
-    """
-    pool = ThreadPoolExecutor(max_workers=_available_cpus())
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
     """Run the full study: per-size trials against the truth surrogate.
 
     The surrogate is loaded or built first.  The (size, trial) jobs then
     run on a thread pool with one thread per CPU the process may use
     (``taskset`` limits them); numpy releases the GIL in the draw and the
-    linear algebra.  Trial seeds derive from (master seed, size index,
-    trial index), so trials are independent, and records come back in
-    (size, trial) order, so the study is byte-identical at any CPU count.
+    linear algebra.  A trial's own draw and estimate run on its pool
+    thread, which opens no pool of its own
+    (:func:`~ridgerec.core._cpu_pool`), so no more threads than CPUs work
+    at once.  Trial seeds derive from (master seed, size index, trial
+    index), so trials are independent, and records come back in (size,
+    trial) order, so the study is byte-identical at any CPU count.
     Any trial failure, or an interrupt, cancels the trials not yet
     started and propagates once the running ones end; no record is
     silently skipped and no thread outlives the call.
@@ -305,9 +287,9 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
             subspace_dist=subspace_distance(truth_sub, est.subspace),
         )
 
-    with _cpu_pool() as pool:
-        records = tuple(pool.map(run_trial, itertools.product(range(len(cfg.sizes)),
-                                                              range(cfg.trials))))
+    jobs = list(itertools.product(range(len(cfg.sizes)), range(cfg.trials)))
+    with _cpu_pool(len(jobs)) as pool:
+        records = tuple(pool.map(run_trial, jobs))
     return ConvergenceStudy(config=cfg, records=records, truth=truth)
 
 

@@ -14,7 +14,7 @@ without any shared-state bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -116,18 +116,15 @@ class InputMeasure:
                    upper=_freeze(upper))
 
 
-def draw(measure: InputMeasure, n_samples: int, seed: int) -> np.ndarray:
-    """Draw ``n_samples`` i.i.d. inputs; returns an (N, m) array.
+def draw(measure: InputMeasure, n_samples: int, seed: Union[int, np.random.Generator],
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw ``n_samples`` i.i.d. inputs; returns an (N, m) array, ``out`` when one is given.
 
-    The stream is row-major: sample 0 is drawn completely before
+    ``seed`` is an integer seed or a generator whose stream to continue;
+    ``out``, if given, is a C-contiguous float64 (N, m) array to draw
+    into.  The stream is row-major: sample 0 is drawn completely before
     sample 1, so prefixes of a larger draw match smaller draws with the
     same seed.
-    """
-    return draw_rows(measure, n_samples, generator(seed))
-
-
-def draw_rows(measure: InputMeasure, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the next ``n_samples`` rows of ``rng``'s row-major stream; returns (N, m).
 
     Chunks drawn in sequence from one generator are the rows of one draw
     of their total size: bit for bit for the standard Gaussian, the
@@ -140,16 +137,24 @@ def draw_rows(measure: InputMeasure, n_samples: int, rng: np.random.Generator) -
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     m = measure.dimension
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    if out is None:
+        out = np.empty((n_samples, m))
+    elif out.shape != (n_samples, m):
+        raise ValueError(f"out has shape {out.shape}, not ({n_samples}, {m})")
     if measure.kind == "standard-gaussian":
-        x = rng.standard_normal((n_samples, m))
+        rng.standard_normal(out=out)
     elif measure.kind == "gaussian":
         L = np.linalg.cholesky(measure.cov)
-        x = measure.mean + rng.standard_normal((n_samples, m)) @ L.T
+        np.matmul(rng.standard_normal((n_samples, m)), L.T, out=out)
+        out += measure.mean
     elif measure.kind == "uniform-box":
-        x = measure.lower + rng.random((n_samples, m)) * (measure.upper - measure.lower)
+        rng.random(out=out)
+        out *= measure.upper - measure.lower
+        out += measure.lower
     else:  # pragma: no cover - constructors prevent this
         raise ValueError(f"unknown measure kind {measure.kind!r}")
-    return x
+    return out
 
 
 # ---------------------------------------------------------------------------

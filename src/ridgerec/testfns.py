@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Subspace, _freeze
+from ridgerec.core import SampleSet, Subspace, _cpu_pool
 from ridgerec.measures import (
     InputMeasure,
     Standardizer,
@@ -43,6 +43,13 @@ from ridgerec.measures import (
 from ridgerec.spectral import orthonormal_basis
 
 QUAD_DIMENSION = 10
+
+#: Rows per chunk in which samples are drawn and evaluated.  It sets the
+#: order in which a truth surrogate sums its slice moments, so it is part
+#: of the surrogate cache key.  The samples of the built-in models do not
+#: depend on it: it is a power of two, so a chunk's rows fall into the
+#: blocks of BLAS's matrix-vector kernels as they do in one evaluation.
+CHUNK_ROWS = 16_384
 
 #: Seed for the canonical coefficient draws of the quadratic models.
 CANONICAL_SEED = 101
@@ -62,8 +69,9 @@ class TestFunction:
     """An evaluatable model bundled with its measure and known subspace.
 
     ``evaluator`` maps an (N, m) array of raw draws from ``measure`` to N
-    scalar responses.  ``true_subspace`` is expressed in the same
-    coordinates the evaluator consumes.
+    scalar responses, each a function of its own row: samples are
+    evaluated in chunks of rows.  ``true_subspace`` is expressed in the
+    same coordinates the evaluator consumes.
     """
 
     name: str
@@ -232,16 +240,57 @@ def get_test_function(name: str) -> TestFunction:
     return TestFunction(name, *_BUILT_INS[name]())
 
 
+def _evaluate_into(evaluator: Callable, x: np.ndarray, out: np.ndarray) -> None:
+    values = np.ravel(evaluator(x))
+    if values.size != len(x):
+        raise ValueError(f"the evaluator returned {values.size} values for {len(x)} input rows")
+    out[...] = values
+
+
+def evaluate_chunks(evaluator: Callable, draw_chunk: Callable, y: np.ndarray,
+                    starts: Sequence[int]) -> None:
+    """Fill ``y`` with ``evaluator``'s responses to rows drawn in chunks.
+
+    Chunk k holds rows ``starts[k]`` up to ``starts[k + 1]``, the last one
+    up to ``len(y)``.  ``draw_chunk(a, c)`` returns the c rows from row a;
+    it is called on the calling thread, in row order, and a pool thread
+    (:func:`~ridgerec.core._cpu_pool`) evaluates each chunk while the next
+    is drawn.  The evaluator may be caller code: it sees each chunk
+    read-only, and an output that is not one value per row is refused.
+    The responses fill ``y`` in row order, so they do not depend on the
+    CPU count.
+    """
+    ends = [*starts[1:], len(y)]
+    with _cpu_pool(len(ends)) as pool:
+        evaluating = None
+        for a, b in zip(starts, ends):
+            x = draw_chunk(a, b - a)
+            x.setflags(write=False)
+            if evaluating is not None:
+                evaluating.result()
+            evaluating = pool.submit(_evaluate_into, evaluator, x, y[a:b])
+        evaluating.result()
+
+
 def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
     """Draw inputs from the model's measure, evaluate, and standardize.
 
     The response is evaluated on the raw draws (the coordinates the
-    evaluator expects).  The set keeps those draws as its ``rows``,
-    made read-only, without a copy, and carries the measure's map, so
-    its ``inputs`` are whitened on first read.  The evaluator may be
-    caller code, so its output is frozen as a copy.
+    evaluator expects).  The rows are drawn from one generator into one
+    array in chunks of ``CHUNK_ROWS``, and each chunk is evaluated while
+    the next is drawn (:func:`evaluate_chunks`).  The last chunk also
+    takes the remainder: numpy would take a one-row remainder through
+    another BLAS routine, which rounds otherwise.  So for the built-in
+    models the rows are the bytes of one draw
+    (:func:`~ridgerec.measures.draw`) and the responses those of one
+    evaluation.  The set keeps the rows, made read-only, and the
+    responses, and carries the measure's map, so its ``inputs`` are
+    whitened on first read.
     """
-    x = draw(fn.measure, n_samples, seed)
-    x.setflags(write=False)  # before the evaluator, which may be caller code
-    y = _freeze(np.ravel(fn.evaluator(x)))
-    return standardize(SampleSet._shared(x, y, None), fit_standardizer(fn.measure))
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rows, y = np.empty((n_samples, fn.dimension)), np.empty(n_samples)
+    rng = generator(seed)
+    evaluate_chunks(fn.evaluator, lambda a, c: draw(fn.measure, c, rng, out=rows[a:a + c]), y,
+                    range(0, max(n_samples - CHUNK_ROWS, 0) + 1, CHUNK_ROWS))
+    return standardize(SampleSet._shared(rows, y, None), fit_standardizer(fn.measure))

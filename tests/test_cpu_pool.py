@@ -1,0 +1,194 @@
+"""The CPU pool and the work inside one estimate that runs on it.
+
+``generate_samples`` evaluates each drawn chunk on a pool thread while the
+next is drawn, and ``slice_scatter`` fans groups of slices out over the
+pool.  Neither may change a bit of the result at any CPU count, leave a
+thread behind, or open a pool inside a pool thread.
+"""
+
+import functools
+import sys
+import threading
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from ridgerec import core, experiments, slicing, testfns
+from ridgerec.core import Subspace, _cpu_pool
+from ridgerec.estimators import estimate
+from ridgerec.experiments import StudyConfig, run_convergence, truth_surrogate
+from ridgerec.measures import InputMeasure
+from ridgerec.testfns import generate_samples, get_test_function, quad1
+
+CPU_COUNTS = (1, 2, 3, 8)
+
+
+@contextmanager
+def frequent_switches():
+    """Switch threads often, so a data race would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def small_work_on_the_pool(monkeypatch):
+    """Send even small samples through the pool: short chunks, fan-out at any size."""
+    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
+    monkeypatch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
+
+
+def ridge(dimension: int) -> testfns.TestFunction:
+    """quad1 along a fixed direction in ``dimension`` standard Gaussian inputs."""
+    b = np.random.default_rng(dimension).standard_normal(dimension)
+    b /= np.linalg.norm(b)
+    return testfns.TestFunction(f"ridge{dimension}", functools.partial(quad1, b),
+                        InputMeasure.standard_gaussian(dimension), Subspace(b))
+
+
+def constant(dimension: int) -> testfns.TestFunction:
+    fn = ridge(dimension)
+    return testfns.TestFunction("constant", lambda x: np.zeros(len(x)), fn.measure,
+                                fn.true_subspace)
+
+
+# (model, N, method, scheme, slices, n): R below the worker count, a
+# one-slice degenerate partition, SIR slices of one sample, chunks with a
+# remainder, and rows on both sides of FAN_OUT_MAX_WIDTH.
+CASES = {
+    "quad3 save equal-count": (get_test_function("quad3"), 1037, "save", "equal-count", 7, 3),
+    "quad3 sir fixed": (get_test_function("quad3"), 1037, "sir", "fixed", 40, 3),
+    "hartmann sir equal-count": (get_test_function("hartmann"), 1037, "sir", "equal-count", 2, 2),
+    "two slices": (ridge(10), 999, "save", "equal-count", 2, 1),
+    "one degenerate slice": (constant(10), 999, "sir", "fixed", 5, 1),
+    "one-sample SIR slices": (ridge(10), 999, "sir", "fixed", 50, 1),
+    "wide save": (ridge(80), 1037, "save", "equal-count", 5, 1),
+    "wide sir fixed": (ridge(80), 1037, "sir", "fixed", 30, 1),
+}
+
+
+@pytest.mark.usefixtures("small_work_on_the_pool")
+@pytest.mark.parametrize("case", CASES)
+def test_generate_and_estimate_bytes_do_not_depend_on_the_cpu_count(case, cpus):
+    fn, n, method, scheme, n_slices, n_components = CASES[case]
+    results = []
+    with frequent_switches():
+        for count in CPU_COUNTS:
+            cpus(count)
+            threads = threading.active_count()
+            s = generate_samples(fn, n, 11)
+            assert threading.active_count() == threads
+            est = estimate(s, n_slices, scheme, method, n_components)
+            assert threading.active_count() == threads
+            results.append(s.rows.tobytes() + s.outputs.tobytes()
+                           + est.spectrum.matrix.tobytes() + est.spectrum.eigenvectors.tobytes())
+    assert results == results[:1] * len(CPU_COUNTS)
+    if case == "two slices":
+        assert est.partition.n_slices == 2  # fewer slices than pool threads
+    if case == "one degenerate slice":
+        assert est.partition.degenerate
+    if case == "one-sample SIR slices":
+        assert est.partition.min_count == 1
+
+
+@pytest.mark.parametrize("name", testfns.TEST_FUNCTION_NAMES)
+@pytest.mark.parametrize("chunk_rows", [128, 512, 1024])
+def test_samples_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk_rows):
+    """Power-of-two chunks of the built-in models are the bytes of one draw and one evaluation."""
+    fn = get_test_function(name)
+    whole = generate_samples(fn, 1037, 4)
+    monkeypatch.setattr(testfns, "CHUNK_ROWS", chunk_rows)
+    chunked = generate_samples(fn, 1037, 4)
+    assert chunked.rows.tobytes() == whole.rows.tobytes()
+    assert chunked.outputs.tobytes() == whole.outputs.tobytes()
+
+
+def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch):
+    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
+    fn = get_test_function("quad1")
+    seen = []
+
+    def evaluator(x):
+        seen.append((len(x), x.flags.writeable))
+        return fn.evaluator(x)
+
+    generate_samples(testfns.TestFunction("seen", evaluator, fn.measure, fn.true_subspace), 350, 1)
+    # The 50-row remainder joins the last chunk.
+    assert seen == [(100, False), (100, False), (150, False)]
+
+
+@pytest.mark.usefixtures("small_work_on_the_pool")
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_study_runs_one_pool_at_a_time(tmp_path, monkeypatch, cpus, count):
+    """Trials and surrogate chunks run their own estimates inline.
+
+    The peak is read from inside the evaluator, which runs on pool
+    threads in both surrogate passes and in every trial.
+    """
+    monkeypatch.setattr(experiments, "CHUNK_ROWS", 500)
+    quad3 = get_test_function("quad3")
+    peaks, lock = [], threading.Lock()
+
+    def evaluator(x):
+        with lock:
+            peaks.append(threading.active_count())
+        return quad3.evaluator(x)
+
+    monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
+        name, evaluator, quad3.measure, quad3.true_subspace))
+    cpus(count)
+    cfg = StudyConfig(function="quad3", method="save", sizes=(300, 700), trials=4, seed=2,
+                      n_components=3, n_slices=5, scheme="equal-count", truth_size=7_001,
+                      truth_seed=3)
+    threads = threading.active_count()
+    with frequent_switches():
+        truth_surrogate(cfg, tmp_path)  # cold
+        assert max(peaks) <= threads + count
+        peaks.clear()
+        run_convergence(cfg, tmp_path)
+    assert max(peaks) <= threads + count
+    assert threading.active_count() == threads
+
+
+class TestCpuPool:
+    @pytest.mark.parametrize("count, jobs", [(1, 5), (4, 1)])
+    def test_one_cpu_or_one_job_runs_on_the_caller(self, cpus, count, jobs):
+        cpus(count)
+        caller = threading.get_ident()
+        with _cpu_pool(jobs) as pool:
+            assert pool.submit(threading.get_ident).result() == caller
+            assert set(pool.map(lambda _: threading.get_ident(), range(jobs))) == {caller}
+
+    def test_a_pool_thread_runs_its_own_pool_inline(self, cpus):
+        cpus(4)
+
+        def nested(_):
+            outer = threading.get_ident()
+            with _cpu_pool(4) as pool:
+                return outer, set(pool.map(lambda _: threading.get_ident(), range(4)))
+
+        with _cpu_pool(2) as pool:
+            for outer, inner in pool.map(nested, range(2)):
+                assert outer != threading.get_ident()
+                assert inner == {outer}
+
+    def test_inline_errors_reach_the_future(self, cpus):
+        cpus(1)
+        with _cpu_pool(2) as pool:
+            future = pool.submit(int, "not a number")
+        with pytest.raises(ValueError):
+            future.result()
+
+    def test_no_thread_outlives_the_block(self, cpus):
+        cpus(3)
+        threads = threading.active_count()
+        with _cpu_pool(3) as pool:
+            list(pool.map(abs, range(10)))
+        assert threading.active_count() == threads
+
+    def test_the_cpu_count_is_the_affinity(self):
+        assert core._available_cpus() >= 1

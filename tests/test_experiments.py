@@ -164,7 +164,7 @@ class TestTruthSurrogate:
     def test_chunk_size_is_part_of_the_key(self, tmp_path, monkeypatch, surrogate_builds):
         cfg = small_config()
         truth_surrogate(cfg, tmp_path)
-        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1000)
         truth_surrogate(cfg, tmp_path)
         assert len(surrogate_builds) == 2
         assert len(list(tmp_path.glob("truth-*.npz"))) == 2
@@ -235,7 +235,7 @@ class TestStreamedSurrogate:
     def test_agrees_with_one_estimate_of_the_whole_draw(self, tmp_path, monkeypatch, function,
                                                         n_components, method, scheme,
                                                         chunk_rows):
-        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", chunk_rows)
         cfg = small_config(function=function, method=method, scheme=scheme,
                            n_components=n_components, n_slices=3, truth_size=5_003)
         spec = truth_surrogate(cfg, tmp_path)
@@ -246,18 +246,18 @@ class TestStreamedSurrogate:
                                        atol=1e-12 * np.max(np.abs(ref.matrix)))
 
     @pytest.mark.parametrize("function, n_components", [("quad3", 3), ("hartmann", 2)])
-    def test_file_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, function,
-                                                       n_components):
-        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 500)
+    def test_file_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
+                                                       function, n_components):
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 500)
         cfg = small_config(function=function, n_components=n_components, truth_size=4_321)
         files = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, mid-chunk
         try:
-            for cpus in (1, 2, 3, 8):
-                monkeypatch.setattr(experiments, "_available_cpus", lambda: cpus)
-                truth_surrogate(cfg, tmp_path / str(cpus))
-                files.append(only_surrogate(tmp_path / str(cpus)).read_bytes())
+            for count in (1, 2, 3, 8):
+                cpus(count)
+                truth_surrogate(cfg, tmp_path / str(count))
+                files.append(only_surrogate(tmp_path / str(count)).read_bytes())
         finally:
             sys.setswitchinterval(interval)
         assert files == files[:1] * 4
@@ -270,10 +270,26 @@ class TestStreamedSurrogate:
             y[-1] = np.nan
             return y
 
-        monkeypatch.setattr(experiments, "SURROGATE_CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, with_nan, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match="responses must be finite"):
+            truth_surrogate(small_config(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [1, 1_001])
+    def test_evaluator_output_of_the_wrong_size_refused(self, tmp_path, monkeypatch, size):
+        """One value would otherwise broadcast over its chunk in pass 1."""
+        quad1 = get_test_function("quad1")
+
+        def wrong_on_chunks(x):
+            y = quad1.evaluator(x)  # right on the key's 64-row probe
+            return np.resize(y, size) if len(x) == 1_000 else y
+
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
+            name, wrong_on_chunks, quad1.measure, quad1.true_subspace))
+        with pytest.raises(ValueError, match=f"returned {size} values for 1000 input rows"):
             truth_surrogate(small_config(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
@@ -290,9 +306,9 @@ class TestStreamedSurrogate:
         with pytest.raises(ValueError, match="responses out of slice"):
             truth_surrogate(small_config(), tmp_path)
 
-    def test_memory_stays_below_half_the_draw(self, tmp_path, monkeypatch):
+    def test_memory_stays_below_half_the_draw(self, tmp_path, cpus):
         """numpy reports its buffers to tracemalloc; two workers hold a chunk each."""
-        monkeypatch.setattr(experiments, "_available_cpus", lambda: 2)
+        cpus(2)
         cfg = small_config(function="quad3", n_components=3, sizes=(1_000,),
                            n_slices=16, truth_size=200_000)
         tracemalloc.start()
@@ -388,10 +404,10 @@ class TestParallelTrials:
             (n, t) for n in cfg.sizes for t in range(cfg.trials)]
 
     @pytest.mark.parametrize("threads", [1, 8])
-    def test_records_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, threads):
+    def test_records_do_not_depend_on_the_thread_count(self, tmp_path, cpus, threads):
         cfg = small_config(function="quad3", n_components=3, sizes=(200, 300), trials=8)
         default = run_convergence(cfg, tmp_path).records
-        monkeypatch.setattr(experiments, "_available_cpus", lambda: threads)
+        cpus(threads)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, mid-trial
         try:

@@ -13,7 +13,6 @@ from ridgerec.measures import (
     Standardizer,
     derive_seed,
     draw,
-    draw_rows,
     fit_standardizer,
     generator,
     generator_at,
@@ -88,8 +87,8 @@ def chunked(measure, n, chunk_rows, seed):
     rng, in_sequence, redrawn = generator(seed), [], []
     for a in range(0, n, chunk_rows):
         state = rng.bit_generator.state
-        in_sequence.append(draw_rows(measure, min(chunk_rows, n - a), rng))
-        redrawn.append(draw_rows(measure, min(chunk_rows, n - a), generator_at(state)))
+        in_sequence.append(draw(measure, min(chunk_rows, n - a), rng))
+        redrawn.append(draw(measure, min(chunk_rows, n - a), generator_at(state)))
     return np.concatenate(in_sequence), np.concatenate(redrawn)
 
 

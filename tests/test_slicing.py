@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ridgerec import core, slicing
 from ridgerec.slicing import (
     SlicePartition,
     default_slice_count,
     partition_equal_count,
     partition_fixed,
+    slice_labels,
+    slice_scatter,
     slice_stats,
 )
 
@@ -448,8 +451,48 @@ class TestSliceStats:
         with pytest.raises(ValueError, match=match):
             slice_stats(s, p)
 
+    @pytest.mark.parametrize("order", [[-1, 1, 2], [0, 1, 3]])
+    def test_labels_refuse_an_index_outside_the_samples(self, order):
+        """Refused before the assignment, where -1 would wrap and 3 raise IndexError."""
+        p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), order=np.array(order),
+                           offsets=np.array([0, 1, 3]), scheme="fixed")
+        with pytest.raises(ValueError, match="index coverage"):
+            slice_labels(p)
+
     def test_partition_from_other_outputs_rejected(self):
         s = standardized_set(np.ones((4, 2)), [1.0, 2.0, 3.0, 4.0])
         p = partition_equal_count([1.0, 2.0], 2)
         with pytest.raises(ValueError):
             slice_stats(s, p)
+
+
+def per_slice_scatter(rows, order, offsets):
+    """The slice moments one slice at a time, each gathered afresh: the kernel's reference."""
+    n_slices, m = len(offsets) - 1, rows.shape[1]
+    means, scatter = np.zeros((n_slices, m)), np.zeros((n_slices, m, m))
+    for r in range(n_slices):
+        xs = rows[order[offsets[r]:offsets[r + 1]]]
+        if len(xs):
+            means[r] = xs.mean(axis=0)
+        if len(xs) > 1:
+            xs = xs - means[r]
+            scatter[r] = xs.T @ xs
+    return means, scatter
+
+
+class TestSliceScatter:
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 17, 64]), min_size=1, max_size=12).filter(any),
+           st.integers(1, 80), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_equals_the_per_slice_reference_bit_for_bit(self, counts, m, cpus, seed):
+        """Any CPU count; surrogate chunks hold empty slices."""
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        rows = rng.standard_normal((offsets[-1], m)) * rng.uniform(0.5, 4.0, m)
+        order = rng.permutation(offsets[-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_available_cpus", lambda: cpus)
+            patch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
+            means, scatter = slice_scatter(rows, order, offsets)
+        ref_means, ref_scatter = per_slice_scatter(rows, order, offsets)
+        assert means.tobytes() == ref_means.tobytes()
+        assert scatter.tobytes() == ref_scatter.tobytes()

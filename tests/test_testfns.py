@@ -1,9 +1,12 @@
 """Built-in models: hand values, ridge structure, analytic subspaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ridgerec.testfns
+from ridgerec.estimators import estimate
 from ridgerec.measures import draw, fit_standardizer
 from ridgerec.testfns import (
     TEST_FUNCTION_NAMES,
@@ -250,8 +253,8 @@ class TestGenerateSamples:
         """Whitening ``inputs`` on first read leaves the rows the frozen draw."""
         draws = []
 
-        def recording_draw(*args):
-            draws.append(draw(*args))
+        def recording_draw(*args, **kwargs):
+            draws.append(draw(*args, **kwargs))
             return draws[-1]
 
         monkeypatch.setattr(ridgerec.testfns, "draw", recording_draw)
@@ -260,7 +263,8 @@ class TestGenerateSamples:
         if inputs_read:
             assert not s.inputs.flags.writeable
             assert not np.allclose(s.inputs, draws[0])
-        assert s.rows is draws[0]
+        assert len(draws) == 1 and np.shares_memory(s.rows, draws[0])
+        np.testing.assert_array_equal(s.rows, draws[0])
         std = fit_standardizer(fn.measure)
         np.testing.assert_array_equal(s.standardizer.mean, std.mean)
         np.testing.assert_array_equal(s.standardizer.whitening, std.whitening)
@@ -279,3 +283,28 @@ class TestGenerateSamples:
         before = s.outputs.copy()
         returned[0][:] = -1.0
         np.testing.assert_array_equal(s.outputs, before)
+
+    @pytest.mark.parametrize("n, extra", [(1, 1), (40, -39), (40, 1)])
+    def test_evaluator_output_of_the_wrong_size_refused(self, n, extra):
+        """One value would otherwise broadcast into a constant response."""
+        fn = get_test_function("quad1")
+        wrong = ridgerec.testfns.TestFunction(
+            "wrong", lambda x: np.zeros(len(x) + extra), fn.measure, fn.true_subspace)
+        with pytest.raises(ValueError, match=f"returned {n + extra} values for {n} input rows"):
+            generate_samples(wrong, n, seed=1)
+
+    def test_memory_peaks_near_the_rows(self, cpus):
+        """numpy reports its buffers to tracemalloc; the rows are N m 8 bytes."""
+        cpus(2)
+        fn, n = get_test_function("quad3"), 200_000
+        rows_bytes = n * fn.dimension * 8
+        tracemalloc.start()
+        try:
+            s = generate_samples(fn, n, seed=1)
+            _, generated = tracemalloc.get_traced_memory()
+            estimate(s, 20, "equal-count", "save", 3)
+            _, op = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert generated < 1.2 * rows_bytes
+        assert op < 1.4 * rows_bytes
