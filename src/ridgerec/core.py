@@ -362,7 +362,7 @@ class SdrEstimate:
 
     method: str
     spectrum: SymmetricSpectrum
-    partition: "SlicePartition"
+    partition: SlicePartition
     n_requested: int
 
     def __post_init__(self):

@@ -51,10 +51,12 @@ def check_estimate_rules(method: str, n_components: int, dimension: int, scheme:
     1 <= n_components <= dimension, at least one slice, no more
     equal-count slices than samples, and for SAVE at least two samples in
     every equal-count slice.  Callers check them before drawing or
-    reading.  :func:`estimate` still checks SAVE's smallest slice after
-    partitioning, since tie runs and fixed-width slices can leave a slice
-    of one that floor(N / R) does not predict.  ``size_name`` says which
-    count ``n_samples`` is, for the messages.  Raises ValueError.
+    reading, and :func:`estimate` checks them on its sample set.  SAVE's
+    smallest slice is checked again after partitioning
+    (:func:`method_partition`), since tie runs and fixed-width slices can
+    leave a slice of one that floor(N / R) does not predict.
+    ``size_name`` says which count ``n_samples`` is, for the messages.
+    Raises ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -131,16 +133,15 @@ def estimate(
         Requested subspace dimension (the caller chooses it; eigenvalue
         gaps reported by the spectral module can guide the choice, but no
         automatic selection is attempted).
+
+    The arguments are checked by :func:`check_estimate_rules` first.
     """
     if not s.standardized:
         raise ValueError(
             "estimate() requires standardized inputs (zero mean, identity "
             "covariance); run the sample set through standardize() first"
         )
-    if not 1 <= n_components <= s.dimension:
-        raise ValueError(f"n_components must lie in [1, {s.dimension}]")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
+    check_estimate_rules(method, n_components, s.dimension, scheme, n_slices, s.n_samples,
+                         "the sample count")
     partition = method_partition(s.outputs, n_slices, scheme, method)
     return estimate_from_stats(slice_stats(s, partition), partition, method, n_components)

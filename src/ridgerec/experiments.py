@@ -2,11 +2,11 @@
 
 The population estimator matrices are not available in closed form, so a
 very-high-N run (the "truth surrogate") stands in for them.  It is built
-in two streamed passes over fixed-size row chunks, so it never holds the
-N x m draw: memory is O(N + R m^2) plus one chunk per worker thread.
-Surrogates are cached on disk under a key that is stored in the file and
-checked on load, and the cache write is atomic so readers never observe a
-partial file.
+in two streamed passes over the chunks in which ``generate_samples``
+draws, the second rerunning the seed, so it never holds the N x m draw:
+memory is O(N + R m^2) plus two chunk buffers.  Surrogates are cached on
+disk under a key that is stored in the file and checked on load, and the
+cache write is atomic so readers never observe a partial file.
 
 A convergence study runs T independent trials at each sample size with
 seeds derived from a master seed, records the normalized eigenvalue error
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec import __version__
+from ridgerec import __version__, testfns
 from ridgerec.core import (
     SampleSet,
     SdrEstimate,
@@ -43,22 +43,23 @@ from ridgerec.estimators import (
     estimate_from_stats,
     method_partition,
 )
-from ridgerec.measures import derive_seed, draw, fit_standardizer, generator, generator_at
-from ridgerec.slicing import slice_labels, slice_scatter, whitened_slice_stats
+from ridgerec.measures import derive_seed, fit_standardizer, generator
+from ridgerec.slicing import check_in_slices, slice_labels, slice_scatter, whitened_slice_stats
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import (
-    CHUNK_ROWS,
     TestFunction,
-    evaluate_chunks,
+    _evaluate_into,
     generate_samples,
     get_test_function,
+    stream_chunks,
 )
 
 #: Layout and summation order of a cached surrogate file, part of its key.
 #: Format 2 took slice moments on raw rows and whitened them afterwards.
-#: Format 3 streams the rows in chunks of ``CHUNK_ROWS`` and merges each
-#: chunk's slice moments in chunk order.
-SURROGATE_FORMAT = 3
+#: Format 3 streamed the rows in chunks of ``testfns.CHUNK_ROWS`` and
+#: merged each chunk's slice moments in chunk order.  Format 4 cuts the
+#: chunks as ``generate_samples`` does, the last one taking the remainder.
+SURROGATE_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     fn = get_test_function(cfg.function)
     probe = generate_samples(fn, 64, 0)
     fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
-    layout = (SURROGATE_FORMAT, CHUNK_ROWS, __version__, fields)
+    layout = (SURROGATE_FORMAT, testfns.CHUNK_ROWS, __version__, fields)
     key = hashlib.sha256(repr(layout).encode()
                          + probe.inputs.tobytes() + probe.outputs.tobytes()).hexdigest()
     path = Path(cache_dir) / f"truth-{key}.npz"
@@ -190,56 +191,45 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     """The spectrum of ``cfg``'s estimate on ``cfg.truth_size`` draws of ``fn``, streamed.
 
     The draw is the one :func:`~ridgerec.testfns.generate_samples` makes
-    with ``cfg.truth_seed``, taken in chunks of ``CHUNK_ROWS``.  Pass 1
-    draws the chunks in sequence from one generator and records the
-    generator's state before each; a pool thread evaluates one chunk
-    while the next is drawn (:func:`~ridgerec.testfns.evaluate_chunks`),
-    which refuses an output that is not one value per row.  Only the
-    responses are kept, and they are partitioned as
-    :func:`~ridgerec.estimators.estimate` does.  Pass 2 redraws each chunk
-    from its state on the pool, checks that its responses lie in their
-    slices, and takes each slice's count, mean and centered sum of outer
-    products of the raw rows on its pool thread.  The main thread
-    merges the chunks in chunk order with the pairwise update of Chan,
-    Golub & LeVeque (1979), so the result does not depend on the CPU
-    count, and whitens the R merged moments.
+    with ``cfg.truth_seed``, in the same chunks
+    (:func:`~ridgerec.testfns.stream_chunks`), which reuse two buffers
+    here.  Pass 1 keeps only the responses and partitions them as
+    :func:`~ridgerec.estimators.estimate` does.  Pass 2 reruns the seed
+    and, for each chunk in row order, evaluates it again, checks that its
+    responses lie in their slices, takes each slice's count, mean and
+    centered sum of outer products of the raw rows, and merges them into
+    the running moments with the pairwise update of Chan, Golub & LeVeque
+    (1979).  Each pass evaluates through the helper that refuses an
+    output that is not one value per row.  The chunk jobs run one at a
+    time, in row order, so the result does not depend on the CPU count.
+    The R merged moments are whitened at the end.
     """
-    n, step = cfg.truth_size, CHUNK_ROWS
-    rng = generator(cfg.truth_seed)
-    states, y = [], np.empty(n)
-
-    def draw_chunk(a: int, c: int) -> np.ndarray:
-        states.append(rng.bit_generator.state)
-        return draw(fn.measure, c, rng)
-
-    def chunk_moments(k: int) -> tuple:
-        x = draw(fn.measure, min(step, n - k * step), generator_at(states[k]))
-        x.setflags(write=False)
-        lab = labels[k * step:k * step + len(x)]
-        out = np.ravel(fn.evaluator(x))
-        if np.any(out < bounds[:-1][lab]) or np.any(out > bounds[1:][lab]):
-            raise ValueError("partition does not match sample set (responses out of slice)")
-        counts = np.bincount(lab, minlength=partition.n_slices)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return (counts, *slice_scatter(x, np.argsort(lab, kind="stable"), offsets))
-
-    evaluate_chunks(fn.evaluator, draw_chunk, y, range(0, n, step))
+    n, m = cfg.truth_size, fn.dimension
+    y = np.empty(n)
+    stream_chunks(fn.measure, n, cfg.truth_seed,
+                  lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]))
     partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
     del y  # pass 2 evaluates each chunk again
-    labels, bounds = slice_labels(partition), partition.boundaries
+    labels, r = slice_labels(partition), partition.n_slices
+    counts, means, scatter = np.zeros(r, dtype=np.intp), np.zeros((r, m)), np.zeros((r, m, m))
 
-    with _cpu_pool(len(states)) as pool:
-        counts = np.zeros(partition.n_slices, dtype=np.intp)
-        means = np.zeros((partition.n_slices, fn.dimension))
-        scatter = np.zeros((partition.n_slices, fn.dimension, fn.dimension))
-        for c, mu, sc in pool.map(chunk_moments, range(len(states))):
-            total = counts + c
-            share = np.divide(c, total, out=np.zeros(len(c)), where=c > 0)
-            delta = mu - means
-            means += delta * share[:, None]
-            # n_a n_b / n (d d'), formed so that it stays exactly symmetric
-            scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
-            counts = total
+    def merge(a: int, x: np.ndarray) -> None:
+        nonlocal counts, means, scatter
+        out, lab = np.empty(len(x)), labels[a:a + len(x)]
+        _evaluate_into(fn.evaluator, x, out)
+        check_in_slices(out, lab, partition.boundaries)
+        c = np.bincount(lab, minlength=r)
+        mu, sc = slice_scatter(x, np.argsort(lab, kind="stable"),
+                               np.concatenate(([0], np.cumsum(c))))
+        total = counts + c
+        share = np.divide(c, total, out=np.zeros(r), where=c > 0)
+        delta = mu - means
+        means += delta * share[:, None]
+        # n_a n_b / n (d d'), formed so that it stays exactly symmetric
+        scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
+        counts = total
+
+    stream_chunks(fn.measure, n, cfg.truth_seed, merge)
     stats = whitened_slice_stats(counts, means, scatter, fit_standardizer(fn.measure))
     return estimate_from_stats(stats, partition, cfg.method, cfg.n_components).spectrum
 

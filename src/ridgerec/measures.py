@@ -52,13 +52,6 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def generator_at(state: dict) -> np.random.Generator:
-    """A generator restored to a ``bit_generator.state`` that :func:`generator` recorded."""
-    bits = np.random.Philox(key=0)
-    bits.state = state
-    return np.random.Generator(bits)
-
-
 # ---------------------------------------------------------------------------
 # Measures
 # ---------------------------------------------------------------------------
@@ -130,9 +123,7 @@ def draw(measure: InputMeasure, n_samples: int, seed: Union[int, np.random.Gener
     of their total size: bit for bit for the standard Gaussian, the
     uniform box and a Gaussian with diagonal covariance.  A dense Cholesky
     factor is applied by a matrix product whose rounding may depend on a
-    row's place in the call, so there they agree to a few ulps.  A chunk
-    redrawn from the state its generator held before it (see
-    :func:`generator_at`) repeats it bit for bit.
+    row's place in the call, so there they agree to a few ulps.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

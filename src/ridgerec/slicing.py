@@ -260,6 +260,16 @@ def slice_labels(partition: SlicePartition) -> np.ndarray:
     return labels
 
 
+def check_in_slices(responses: np.ndarray, labels: np.ndarray, boundaries: np.ndarray) -> None:
+    """Refuse a response outside the closed interval of its slice.
+
+    ``labels`` holds each response's slice index, as :func:`slice_labels`
+    gives it, and ``boundaries`` the partition's R+1 boundaries.
+    """
+    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
+        raise ValueError("partition does not match sample set (responses out of slice)")
+
+
 def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> tuple:
     """Each slice's mean and centered sum of outer products of its rows.
 
@@ -350,12 +360,6 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     """
     if partition.n_samples != s.n_samples:
         raise ValueError("partition does not match sample set (different sample count)")
-    slice_labels(partition)  # refuses a partition that does not cover the rows exactly
-    order, starts, b = partition.order, partition.offsets[:-1], partition.boundaries
-    ys = s.outputs[order]
-    lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
-    if np.any(lo < b[:-1]) or np.any(hi > b[1:]):
-        raise ValueError("partition does not match sample set (responses out of slice)")
-    del ys  # the N-sized gather is not needed past the check
-    means, scatter = slice_scatter(s.rows, order, partition.offsets)
+    check_in_slices(s.outputs, slice_labels(partition), partition.boundaries)
+    means, scatter = slice_scatter(s.rows, partition.order, partition.offsets)
     return whitened_slice_stats(partition.counts, means, scatter, s.standardizer)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -247,29 +247,35 @@ def _evaluate_into(evaluator: Callable, x: np.ndarray, out: np.ndarray) -> None:
     out[...] = values
 
 
-def evaluate_chunks(evaluator: Callable, draw_chunk: Callable, y: np.ndarray,
-                    starts: Sequence[int]) -> None:
-    """Fill ``y`` with ``evaluator``'s responses to rows drawn in chunks.
+def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
+                  rows: Optional[np.ndarray] = None) -> None:
+    """Draw ``n`` rows of ``measure`` from ``generator(seed)`` in chunks; run ``job`` on each.
 
-    Chunk k holds rows ``starts[k]`` up to ``starts[k + 1]``, the last one
-    up to ``len(y)``.  ``draw_chunk(a, c)`` returns the c rows from row a;
-    it is called on the calling thread, in row order, and a pool thread
-    (:func:`~ridgerec.core._cpu_pool`) evaluates each chunk while the next
-    is drawn.  The evaluator may be caller code: it sees each chunk
-    read-only, and an output that is not one value per row is refused.
-    The responses fill ``y`` in row order, so they do not depend on the
-    CPU count.
+    The chunks hold ``CHUNK_ROWS`` rows each, in row order, and the last
+    also takes the remainder: numpy would take a one-row remainder through
+    another BLAS routine, which rounds otherwise.  Each chunk is drawn
+    into ``rows`` when it is given, an (n, m) array, and otherwise into
+    one of two reused buffers.  ``job(a, x)`` gets the chunk's first row
+    index and the chunk, read-only; it runs on a pool thread
+    (:func:`~ridgerec.core._cpu_pool`) while the next chunk is drawn on
+    the calling thread.  At most one job runs at a time and the jobs run
+    in row order, so what they compute does not depend on the CPU count.
     """
-    ends = [*starts[1:], len(y)]
+    starts = range(0, max(n - CHUNK_ROWS, 0) + 1, CHUNK_ROWS)
+    ends = [*starts[1:], n]
+    if rows is None:
+        buffers = [np.empty((n - starts[-1], measure.dimension)) for _ in ends[:2]]
+    rng = generator(seed)
     with _cpu_pool(len(ends)) as pool:
-        evaluating = None
-        for a, b in zip(starts, ends):
-            x = draw_chunk(a, b - a)
+        running = None
+        for k, (a, b) in enumerate(zip(starts, ends)):
+            out = rows[a:b] if rows is not None else buffers[k % 2][:b - a]
+            x = draw(measure, b - a, rng, out=out)
             x.setflags(write=False)
-            if evaluating is not None:
-                evaluating.result()
-            evaluating = pool.submit(_evaluate_into, evaluator, x, y[a:b])
-        evaluating.result()
+            if running is not None:
+                running.result()
+            running = pool.submit(job, a, x)
+        running.result()
 
 
 def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
@@ -277,20 +283,16 @@ def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
 
     The response is evaluated on the raw draws (the coordinates the
     evaluator expects).  The rows are drawn from one generator into one
-    array in chunks of ``CHUNK_ROWS``, and each chunk is evaluated while
-    the next is drawn (:func:`evaluate_chunks`).  The last chunk also
-    takes the remainder: numpy would take a one-row remainder through
-    another BLAS routine, which rounds otherwise.  So for the built-in
-    models the rows are the bytes of one draw
-    (:func:`~ridgerec.measures.draw`) and the responses those of one
-    evaluation.  The set keeps the rows, made read-only, and the
-    responses, and carries the measure's map, so its ``inputs`` are
+    array in chunks, and each chunk is evaluated while the next is drawn
+    (:func:`stream_chunks`).  For the built-in models the rows are the
+    bytes of one draw (:func:`~ridgerec.measures.draw`) and the responses
+    those of one evaluation.  The set keeps the rows, made read-only, and
+    the responses, and carries the measure's map, so its ``inputs`` are
     whitened on first read.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rows, y = np.empty((n_samples, fn.dimension)), np.empty(n_samples)
-    rng = generator(seed)
-    evaluate_chunks(fn.evaluator, lambda a, c: draw(fn.measure, c, rng, out=rows[a:a + c]), y,
-                    range(0, max(n_samples - CHUNK_ROWS, 0) + 1, CHUNK_ROWS))
+    stream_chunks(fn.measure, n_samples, seed,
+                  lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]), rows)
     return standardize(SampleSet._shared(rows, y, None), fit_standardizer(fn.measure))

@@ -1,7 +1,8 @@
 """The CPU pool and the work inside one estimate that runs on it.
 
-``generate_samples`` evaluates each drawn chunk on a pool thread while the
-next is drawn, and ``slice_scatter`` fans groups of slices out over the
+``stream_chunks`` runs a job on each drawn chunk on a pool thread while the
+next is drawn, for ``generate_samples`` and both passes of a truth
+surrogate, and ``slice_scatter`` fans groups of slices out over the
 pool.  Neither may change a bit of the result at any CPU count, leave a
 thread behind, or open a pool inside a pool thread.
 """
@@ -9,6 +10,7 @@ thread behind, or open a pool inside a pool thread.
 import functools
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +20,7 @@ from ridgerec import core, experiments, slicing, testfns
 from ridgerec.core import Subspace, _cpu_pool
 from ridgerec.estimators import estimate
 from ridgerec.experiments import StudyConfig, run_convergence, truth_surrogate
-from ridgerec.measures import InputMeasure
+from ridgerec.measures import InputMeasure, draw
 from ridgerec.testfns import generate_samples, get_test_function, quad1
 
 CPU_COUNTS = (1, 2, 3, 8)
@@ -121,15 +123,47 @@ def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch):
     assert seen == [(100, False), (100, False), (150, False)]
 
 
+@pytest.mark.parametrize("into_rows", [False, True])
+@pytest.mark.parametrize("n, sizes", [(100, [100]), (101, [101]), (199, [199]),
+                                      (300, [100, 100, 100])])
+def test_chunk_jobs_run_one_at_a_time_in_row_order_on_one_draw(monkeypatch, cpus, n, sizes,
+                                                               into_rows):
+    """Chunks of 100 rows, the last taking the remainder, are the bytes of one draw."""
+    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
+    cpus(2)
+    measure = get_test_function("hartmann").measure  # a Gaussian with diagonal covariance
+    rows = np.empty((n, measure.dimension)) if into_rows else None
+    seen, running, lock = [], [], threading.Lock()
+
+    def job(a, x):
+        with lock:
+            running.append(a)
+            alone = len(running) == 1
+        seen.append((a, x.copy(), x.flags.writeable, alone))
+        time.sleep(0.002)  # long enough for an overlapping job to start
+        with lock:
+            running.remove(a)
+
+    with frequent_switches():
+        testfns.stream_chunks(measure, n, 7, job, rows)
+    whole = draw(measure, n, 7).tobytes()
+    assert [a for a, *_ in seen] == list(np.cumsum([0, *sizes[:-1]]))
+    assert [len(x) for _, x, *_ in seen] == sizes
+    assert np.concatenate([x for _, x, *_ in seen]).tobytes() == whole
+    assert [(writeable, alone) for *_, writeable, alone in seen] == [(False, True)] * len(sizes)
+    if into_rows:
+        assert rows.tobytes() == whole
+
+
 @pytest.mark.usefixtures("small_work_on_the_pool")
 @pytest.mark.parametrize("count", [2, 3])
 def test_a_study_runs_one_pool_at_a_time(tmp_path, monkeypatch, cpus, count):
-    """Trials and surrogate chunks run their own estimates inline.
+    """Trials and surrogate chunk jobs run their own work inline.
 
     The peak is read from inside the evaluator, which runs on pool
     threads in both surrogate passes and in every trial.
     """
-    monkeypatch.setattr(experiments, "CHUNK_ROWS", 500)
+    monkeypatch.setattr(testfns, "CHUNK_ROWS", 500)
     quad3 = get_test_function("quad3")
     peaks, lock = [], threading.Lock()
 

@@ -10,6 +10,10 @@ Dataclass fields and properties of package classes must be read: some
 file reads them as an attribute, or names them in a string constant as
 ``getattr`` does.  Passing a field to the constructor is not a read.
 
+Every name a package module other than ``__init__`` imports must be
+loaded in that module, or spelt as a string constant in ``perfbench/``,
+where the benchmark tracer names the module attributes it wraps.
+
 Every parameter with a default in the package must be set: some call in
 ``src/`` or ``perfbench/`` passes it a value spelt otherwise than the
 default.  Calls are matched by the name they spell, so ``__init__`` is
@@ -60,6 +64,30 @@ def test_no_module_level_name_is_dead():
             for name in _defined(ast.parse(path.read_text(encoding="utf-8")))
             if name not in references}
     assert sorted(dead) == []
+
+
+def _unused_imports(tree: ast.Module) -> set:
+    bound, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return bound - loaded
+
+
+def test_no_import_is_unused():
+    spelt = {node.value
+             for path in (ROOT / "perfbench").rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unused = {f"{path.stem}.{name}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in spelt}
+    assert sorted(unused) == []
 
 
 def _members(tree: ast.Module) -> set:

@@ -202,10 +202,22 @@ class TestEstimatePipeline:
         rng = generator(derive_seed(8, 5))
         x = rng.standard_normal((60, 3))
         s = standardized_set(x, x[:, 0] ** 2)
-        with pytest.raises(ValueError, match="smallest slice has 1; use fewer slices"):
+        with pytest.raises(ValueError, match="40 equal-count slices of the sample count 60 "
+                                             "leave a slice with one"):
             estimate(s, 40, "equal-count", "save", 1)
         assert estimate(s, 40, "equal-count", "sir", 1).partition.min_count == 1
         assert estimate(s, 30, "equal-count", "save", 1).partition.min_count == 2
+
+    @pytest.mark.parametrize("outputs, scheme", [
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], "equal-count"),  # the tie run moves the cut to 5
+        ([0.0, 0.1, 0.2, 0.3, 0.4, 1.0], "fixed"),  # 1.0 alone in the upper half
+    ])
+    def test_save_refuses_a_slice_of_one_that_partitioning_leaves(self, outputs, scheme):
+        """Three samples per slice pass the rules; the partition still leaves one."""
+        s = standardized_set(generator(3).standard_normal((6, 2)), outputs)
+        with pytest.raises(ValueError, match="smallest slice has 1; use fewer slices"):
+            estimate(s, 2, scheme, "save", 1)
+        assert estimate(s, 2, scheme, "sir", 1).partition.min_count == 1
 
 
 MATRICES = {"sir": sir_matrix, "save": save_matrix}

@@ -27,7 +27,7 @@ from ridgerec.experiments import (
     summary_plot_data,
     truth_surrogate,
 )
-from ridgerec.measures import derive_seed, generator
+from ridgerec.measures import derive_seed
 from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -147,12 +147,12 @@ class TestTruthSurrogate:
         assert len(surrogate_builds) == 1
         assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
-    def test_format_2_file_is_rebuilt(self, tmp_path, monkeypatch, surrogate_builds):
-        """Format 3 streams the rows in chunks, so format-2 spectra differ in the last bits."""
-        assert experiments.SURROGATE_FORMAT == 3
+    def test_format_3_file_is_rebuilt(self, tmp_path, monkeypatch, surrogate_builds):
+        """Format 4 merges the last chunks otherwise, so a format-3 file is rebuilt, not read."""
+        assert experiments.SURROGATE_FORMAT == 4
         cfg = small_config(function="hartmann", n_components=2)
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "SURROGATE_FORMAT", 2)
+            patch.setattr(experiments, "SURROGATE_FORMAT", 3)
             truth_surrogate(cfg, tmp_path)
         assert len(list(tmp_path.glob("truth-*.npz"))) == 1
         truth_surrogate(cfg, tmp_path)
@@ -164,7 +164,7 @@ class TestTruthSurrogate:
     def test_chunk_size_is_part_of_the_key(self, tmp_path, monkeypatch, surrogate_builds):
         cfg = small_config()
         truth_surrogate(cfg, tmp_path)
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1000)
         truth_surrogate(cfg, tmp_path)
         assert len(surrogate_builds) == 2
         assert len(list(tmp_path.glob("truth-*.npz"))) == 2
@@ -235,7 +235,7 @@ class TestStreamedSurrogate:
     def test_agrees_with_one_estimate_of_the_whole_draw(self, tmp_path, monkeypatch, function,
                                                         n_components, method, scheme,
                                                         chunk_rows):
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", chunk_rows)
         cfg = small_config(function=function, method=method, scheme=scheme,
                            n_components=n_components, n_slices=3, truth_size=5_003)
         spec = truth_surrogate(cfg, tmp_path)
@@ -248,7 +248,7 @@ class TestStreamedSurrogate:
     @pytest.mark.parametrize("function, n_components", [("quad3", 3), ("hartmann", 2)])
     def test_file_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
                                                        function, n_components):
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", 500)
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", 500)
         cfg = small_config(function=function, n_components=n_components, truth_size=4_321)
         files = []
         interval = sys.getswitchinterval()
@@ -270,7 +270,7 @@ class TestStreamedSurrogate:
             y[-1] = np.nan
             return y
 
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, with_nan, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match="responses must be finite"):
@@ -286,7 +286,7 @@ class TestStreamedSurrogate:
             y = quad1.evaluator(x)  # right on the key's 64-row probe
             return np.resize(y, size) if len(x) == 1_000 else y
 
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, wrong_on_chunks, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match=f"returned {size} values for 1000 input rows"):
@@ -300,14 +300,35 @@ class TestStreamedSurrogate:
             truth_surrogate(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_redraw_that_misses_its_chunk_refused(self, tmp_path, monkeypatch):
-        """Pass 2 checks each redrawn chunk's responses against its slices."""
-        monkeypatch.setattr(experiments, "generator_at", lambda state: generator(12345))
-        with pytest.raises(ValueError, match="responses out of slice"):
+    @pytest.mark.parametrize("second_pass, match", [
+        (lambda y: y + 1.0, "responses out of slice"),
+        (lambda y: y[:1], "returned 1 values for 1000 input rows"),
+        (lambda y: np.resize(y, 1_001), "returned 1001 values for 1000 input rows"),
+    ], ids=["shifted", "one value", "one too many"])
+    def test_second_pass_that_disagrees_with_the_first_refused(self, tmp_path, monkeypatch,
+                                                               second_pass, match):
+        """Pass 2 evaluates each chunk again and checks the responses against their slices."""
+        quad1 = get_test_function("quad1")
+        chunks = []
+
+        def shifting(x):
+            y = quad1.evaluator(x)
+            if len(x) == 1_000:  # not the key's 64-row probe
+                chunks.append(len(x))
+                if len(chunks) > 4:  # past the 4 000 rows of pass 1
+                    return second_pass(y)
+            return y
+
+        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
+            name, shifting, quad1.measure, quad1.true_subspace))
+        with pytest.raises(ValueError, match=match):
             truth_surrogate(small_config(), tmp_path)
+        assert len(chunks) == 5
+        assert list(tmp_path.iterdir()) == []
 
     def test_memory_stays_below_half_the_draw(self, tmp_path, cpus):
-        """numpy reports its buffers to tracemalloc; two workers hold a chunk each."""
+        """numpy reports its buffers to tracemalloc; the draw fills two chunk buffers."""
         cpus(2)
         cfg = small_config(function="quad3", n_components=3, sizes=(1_000,),
                            n_slices=16, truth_size=200_000)

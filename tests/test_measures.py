@@ -15,7 +15,6 @@ from ridgerec.measures import (
     draw,
     fit_standardizer,
     generator,
-    generator_at,
     pushforward_direction,
     standardize,
     whitening_defect,
@@ -83,32 +82,25 @@ def measures(draw_from, dense=False):
 
 
 def chunked(measure, n, chunk_rows, seed):
-    """The draw taken in chunks from one generator, and each chunk redrawn from its state."""
-    rng, in_sequence, redrawn = generator(seed), [], []
-    for a in range(0, n, chunk_rows):
-        state = rng.bit_generator.state
-        in_sequence.append(draw(measure, min(chunk_rows, n - a), rng))
-        redrawn.append(draw(measure, min(chunk_rows, n - a), generator_at(state)))
-    return np.concatenate(in_sequence), np.concatenate(redrawn)
+    """The draw taken in chunks from one generator."""
+    rng = generator(seed)
+    return np.concatenate([draw(measure, min(chunk_rows, n - a), rng)
+                           for a in range(0, n, chunk_rows)])
 
 
 class TestChunkedDraw:
-    """The premise of the streamed truth surrogate: a draw can be redrawn chunk by chunk."""
+    """The premise of drawing in chunks: the chunks are the rows of one draw."""
 
     @given(measures(), st.integers(1, 300), st.integers(1, 320), st.integers(0, 2**64 - 1))
     def test_chunks_are_the_bytes_of_one_draw(self, measure, n, chunk_rows, seed):
-        whole = draw(measure, n, seed).tobytes()
-        in_sequence, redrawn = chunked(measure, n, chunk_rows, seed)
-        assert in_sequence.tobytes() == whole
-        assert redrawn.tobytes() == whole
+        assert chunked(measure, n, chunk_rows, seed).tobytes() == draw(measure, n, seed).tobytes()
 
     @given(measures(dense=True), st.integers(1, 300), st.integers(1, 320),
            st.integers(0, 2**64 - 1))
     def test_dense_covariance_chunks_agree_to_a_few_ulps(self, measure, n, chunk_rows, seed):
         """The Cholesky product's rounding may depend on a row's place in the call."""
         whole = draw(measure, n, seed)
-        in_sequence, redrawn = chunked(measure, n, chunk_rows, seed)
-        assert redrawn.tobytes() == in_sequence.tobytes()
+        in_sequence = chunked(measure, n, chunk_rows, seed)
         np.testing.assert_allclose(in_sequence, whole, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(whole)))
 
