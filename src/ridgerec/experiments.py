@@ -44,7 +44,7 @@ from ridgerec.estimators import (
     method_partition,
 )
 from ridgerec.measures import derive_seed, fit_standardizer, generator
-from ridgerec.slicing import check_in_slices, slice_labels, slice_scatter, whitened_slice_stats
+from ridgerec.slicing import slice_moments, whitened_slice_stats
 from ridgerec.spectral import subspace_distance
 from ridgerec.testfns import (
     TestFunction,
@@ -195,14 +195,17 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     (:func:`~ridgerec.testfns.stream_chunks`), which reuse two buffers
     here.  Pass 1 keeps only the responses and partitions them as
     :func:`~ridgerec.estimators.estimate` does.  Pass 2 reruns the seed
-    and, for each chunk in row order, evaluates it again, checks that its
-    responses lie in their slices, takes each slice's count, mean and
-    centered sum of outer products of the raw rows, and merges them into
-    the running moments with the pairwise update of Chan, Golub & LeVeque
-    (1979).  Each pass evaluates through the helper that refuses an
-    output that is not one value per row.  The chunk jobs run one at a
-    time, in row order, so the result does not depend on the CPU count.
-    The R merged moments are whitened at the end.
+    and, for each chunk in row order, evaluates it again, takes each
+    slice's count, mean and centered sum of outer products of the raw
+    rows with :func:`~ridgerec.slicing.slice_moments`, as ``estimate``
+    does (which checks that the responses lie in their slices), and
+    merges them into the running moments with the pairwise update of
+    Chan, Golub & LeVeque (1979).  A one-chunk build therefore equals
+    ``estimate`` of the whole draw bit for bit.  Each pass evaluates
+    through the helper that refuses an output that is not one value per
+    row.  The chunk jobs run one at a time, in row order, so the result
+    does not depend on the CPU count.  The R merged moments are whitened
+    at the end.
     """
     n, m = cfg.truth_size, fn.dimension
     y = np.empty(n)
@@ -210,17 +213,14 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
                   lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]))
     partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
     del y  # pass 2 evaluates each chunk again
-    labels, r = slice_labels(partition), partition.n_slices
+    r = partition.n_slices
     counts, means, scatter = np.zeros(r, dtype=np.intp), np.zeros((r, m)), np.zeros((r, m, m))
 
     def merge(a: int, x: np.ndarray) -> None:
         nonlocal counts, means, scatter
-        out, lab = np.empty(len(x)), labels[a:a + len(x)]
+        out = np.empty(len(x))
         _evaluate_into(fn.evaluator, x, out)
-        check_in_slices(out, lab, partition.boundaries)
-        c = np.bincount(lab, minlength=r)
-        mu, sc = slice_scatter(x, np.argsort(lab, kind="stable"),
-                               np.concatenate(([0], np.cumsum(c))))
+        c, mu, sc = slice_moments(x, out, partition.labels[a:a + len(x)], partition.boundaries)
         total = counts + c
         share = np.divide(c, total, out=np.zeros(r), where=c > 0)
         delta = mu - means

@@ -7,12 +7,12 @@ cuts the sorted order into nearly equal blocks, which maximizes the
 smallest per-slice count -- the quantity that governs how fast the slice
 moments converge.
 
-A partition is stored flat: a permutation ``order`` that lists the sample
-indices slice by slice, and ``offsets`` marking where each slice starts in
-it.  Both schemes give the stable sort order: equal-count slicing sorts
-the responses and then the sample indices inside each run of ties,
-fixed-width slicing stably sorts the bin index held in the narrowest
-unsigned type, which numpy radix-sorts.
+A partition is the slice that holds each sample: one label per sample,
+the slice index, next to the R+1 boundaries.  Cuts never split a run of
+tied responses, so the labels do not depend on how a sort orders ties.
+Slice moments (:func:`slice_moments`) sum each slice's rows in ascending
+sample index, for ``estimate`` and for every chunk of the truth
+surrogate alike.
 
 Conventions that make results exactly reproducible:
 
@@ -31,7 +31,7 @@ in one slice with boundaries [y, y], which the partition reports as
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,39 +56,44 @@ FAN_OUT_MIN_VALUES = 1 << 20
 
 @dataclass(frozen=True)
 class SlicePartition:
-    """R response intervals over one permutation of the samples.
+    """R response intervals and the slice that holds each sample.
 
-    ``boundaries`` holds R+1 ascending values covering [y_min, y_max].
-    ``order`` lists the N sample indices slice by slice, and ``offsets``
-    (R+1 entries rising strictly from 0 to N) marks where each slice
-    starts: slice r holds ``order[offsets[r]:offsets[r + 1]]``.  Both are
-    stored as read-only views, not copies.
+    ``boundaries`` holds R+1 ascending values covering [y_min, y_max], and
+    ``labels`` holds each sample's slice index, in the narrowest unsigned
+    type that holds R - 1, as a read-only view.  ``counts`` is taken from
+    the labels once, here, and that pass checks them: every label is
+    below R and no slice is empty.
     """
 
     boundaries: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
+    labels: np.ndarray
     scheme: str
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", _freeze(self.boundaries))
-        for name in ("order", "offsets"):
-            view = np.asarray(getattr(self, name), dtype=np.intp).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        b, off = self.boundaries, self.offsets
-        if len(off) < 2 or off[0] != 0 or off[-1] != len(self.order):
-            raise ValueError("offsets must run from 0 to the length of order")
-        if len(b) != len(off):
-            raise ValueError("boundary count must be slice count plus one")
+        b, r = self.boundaries, len(self.boundaries) - 1
+        if r < 1:
+            raise ValueError("need at least two boundaries: the slice count plus one")
         # Only the first interval may have zero width: its closed ends take
         # precedence, so [y, y] still holds the responses equal to y.
         if not (b[0] <= b[1] and np.all(np.diff(b[1:]) > 0)):
             raise ValueError("boundaries must be strictly ascending")
-        if np.any(np.diff(off) <= 0):
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValueError("labels must be a vector of slice indices")
+        counts = np.bincount(labels, minlength=r)  # refuses a negative label
+        if len(counts) > r:
+            raise ValueError("a label is not below the slice count, one less than the boundaries")
+        if not counts.all():
             raise ValueError("every slice must hold at least one sample")
+        labels = labels.astype(np.min_scalar_type(r - 1), copy=False).view()
+        labels.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def degenerate(self) -> bool:
@@ -96,21 +101,12 @@ class SlicePartition:
         return bool(self.boundaries[0] == self.boundaries[-1])
 
     @property
-    def membership(self) -> tuple:
-        """Per-slice sample indices, as read-only views of ``order``."""
-        return tuple(np.split(self.order, self.offsets[1:-1]))
-
-    @property
     def n_slices(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return len(self.counts)
 
     @property
     def n_samples(self) -> int:
-        return len(self.order)
+        return len(self.labels)
 
     @property
     def min_count(self) -> int:
@@ -181,10 +177,11 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     idx = np.searchsorted(bounds[1:-1], y, side="left")
     counts = np.bincount(idx, minlength=n_slices)
     nonempty = np.flatnonzero(counts)
+    # An empty interval merges into the nonempty one below it.
+    merged = (np.cumsum(counts > 0) - 1).astype(np.min_scalar_type(len(nonempty) - 1))
     return SlicePartition(
         boundaries=np.concatenate(([bounds[0]], bounds[nonempty[1:]], [bounds[-1]])),
-        order=np.argsort(idx.astype(np.min_scalar_type(n_slices - 1)), kind="stable"),
-        offsets=np.concatenate(([0], np.cumsum(counts[nonempty]))),
+        labels=merged[idx],
         scheme="fixed",
     )
 
@@ -204,17 +201,6 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
         raise ValueError("more slices than samples")
     order = np.argsort(y)
     ys = y[order]
-    tie = ys[1:] == ys[:-1]
-    if tie.any():
-        # The default sort may leave equal responses in any order; sorting
-        # the indices inside each tie run gives exactly the stable order.
-        in_run = np.zeros(n, dtype=bool)
-        in_run[1:] |= tie
-        in_run[:-1] |= tie
-        pos = np.flatnonzero(in_run)
-        run_id = np.cumsum(~np.concatenate(([False], tie))[pos])
-        order[pos] = np.sort(run_id * n + order[pos]) % n
-        ys[pos] = y[order[pos]]  # -0.0 and 0.0 tie but differ in sign
     cuts = []
     prev = 0
     for k in range(1, n_slices):
@@ -235,47 +221,23 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     # which would then belong to the lower slice; cut at the lower value.
     mids = (ys[cuts - 1] + ys[cuts]) / 2.0
     mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
-    return SlicePartition(
-        boundaries=np.concatenate(([ys[0]], mids, [ys[-1]])),
-        order=order,
-        offsets=np.concatenate(([0], cuts, [n])),
-        scheme="equal-count",
-    )
-
-
-def slice_labels(partition: SlicePartition) -> np.ndarray:
-    """Each sample's slice index, in the narrowest unsigned type that holds R.
-
-    Raises if ``order`` holds an index outside [0, N) or misses a sample
-    index, as it must if it repeats one, since it holds N entries: such a
-    partition was not made from these samples.
-    """
-    r, order = partition.n_slices, partition.order
-    if order.min() < 0 or order.max() >= partition.n_samples:
-        raise ValueError("partition does not match sample set (index coverage)")
-    labels = np.full(partition.n_samples, r, dtype=np.min_scalar_type(r))
-    labels[order] = np.repeat(np.arange(r, dtype=labels.dtype), partition.counts)
-    if np.any(labels == r):
-        raise ValueError("partition does not match sample set (index coverage)")
-    return labels
-
-
-def check_in_slices(responses: np.ndarray, labels: np.ndarray, boundaries: np.ndarray) -> None:
-    """Refuse a response outside the closed interval of its slice.
-
-    ``labels`` holds each response's slice index, as :func:`slice_labels`
-    gives it, and ``boundaries`` the partition's R+1 boundaries.
-    """
-    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
-        raise ValueError("partition does not match sample set (responses out of slice)")
+    boundaries = np.concatenate(([ys[0]], mids, [ys[-1]]))
+    # Each N-sized buffer goes once used: a large estimate's peak memory is set here.
+    del ys
+    labels = np.empty(n, dtype=np.min_scalar_type(len(cuts)))
+    labels[order] = np.repeat(np.arange(len(cuts) + 1, dtype=labels.dtype),
+                              np.diff(cuts, prepend=0, append=n))
+    del order
+    return SlicePartition(boundaries=boundaries, labels=labels, scheme="equal-count")
 
 
 def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> tuple:
     """Each slice's mean and centered sum of outer products of its rows.
 
-    Slice r holds ``rows[order[offsets[r]:offsets[r + 1]]]``.  Returns the
-    (R, m) means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice
-    with no rows gets zeros, and one with a single row a zero sum.
+    Slice r holds ``rows[order[offsets[r]:offsets[r + 1]]]``, where
+    ``order`` is a permutation of the row indices.  Returns the (R, m)
+    means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice with
+    no rows gets zeros, and one with a single row a zero sum.
 
     When the rows are at most ``FAN_OUT_MAX_WIDTH`` wide and hold at
     least ``FAN_OUT_MIN_VALUES`` values, one worker per pool thread
@@ -294,9 +256,7 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
 
     The gather clips out-of-range indices instead of refusing them,
     because a checked gather into a given buffer copies through a buffer
-    of its own.  Clipping is safe only for indices in [0, len(rows)):
-    :func:`slice_stats` checks its partition's coverage first, and the
-    surrogate's chunk indices are in range by construction.
+    of its own; a permutation of the row indices has none.
     """
     n_slices, m = len(offsets) - 1, rows.shape[1]
     means = np.zeros((n_slices, m))
@@ -330,6 +290,28 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
     return means, scatter
 
 
+def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
+                  boundaries: np.ndarray) -> tuple:
+    """Each slice's count, mean and centered sum of outer products of the rows it labels.
+
+    ``labels`` holds each row's slice index and ``boundaries`` the R+1
+    slice boundaries.  Refuses rows, responses and labels of different
+    lengths, and a response outside the closed interval of its slice,
+    which guards against pairing a partition with the wrong data.  Each
+    slice's rows are summed in ascending row order, as the stable
+    argsort of the labels lists them, so the moments of a sample do not
+    depend on how its partition was made.  Returns the (R,) counts and
+    :func:`slice_scatter`'s means and sums.
+    """
+    if not len(rows) == len(responses) == len(labels):
+        raise ValueError("partition does not match sample set (different sample count)")
+    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
+        raise ValueError("partition does not match sample set (responses out of slice)")
+    counts = np.bincount(labels, minlength=len(boundaries) - 1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return (counts, *slice_scatter(rows, np.argsort(labels, kind="stable"), offsets))
+
+
 def whitened_slice_stats(counts: np.ndarray, means: np.ndarray, scatter: np.ndarray,
                          std: Optional[Standardizer]) -> SliceStats:
     """Slice statistics in whitened coordinates from the raw rows' slice moments.
@@ -352,14 +334,10 @@ def whitened_slice_stats(counts: np.ndarray, means: np.ndarray, scatter: np.ndar
 def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     """Compute per-slice counts, means, and covariances in whitened coordinates.
 
-    The moments are taken over the stored rows and then mapped through
-    the set's standardizer (:func:`whitened_slice_stats`).  Raises if the
-    partition does not cover exactly the sample set's rows or puts a
-    response outside its slice's interval, which guards against pairing a
-    partition with the wrong data.
+    The moments are taken over the stored rows (:func:`slice_moments`,
+    which refuses a partition of other responses) and then mapped
+    through the set's standardizer (:func:`whitened_slice_stats`).
     """
-    if partition.n_samples != s.n_samples:
-        raise ValueError("partition does not match sample set (different sample count)")
-    check_in_slices(s.outputs, slice_labels(partition), partition.boundaries)
-    means, scatter = slice_scatter(s.rows, partition.order, partition.offsets)
-    return whitened_slice_stats(partition.counts, means, scatter, s.standardizer)
+    counts, means, scatter = slice_moments(s.rows, s.outputs, partition.labels,
+                                           partition.boundaries)
+    return whitened_slice_stats(counts, means, scatter, s.standardizer)

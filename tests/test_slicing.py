@@ -11,18 +11,22 @@ from ridgerec.slicing import (
     default_slice_count,
     partition_equal_count,
     partition_fixed,
-    slice_labels,
     slice_scatter,
     slice_stats,
 )
 
-from oracles import slice_membership, standardized_set
+from oracles import slice_covariance, slice_mean, slice_membership, standardized_set
+
+
+def members(partition):
+    """Each slice's sample indices, ascending, read off the labels."""
+    return [np.flatnonzero(partition.labels == k).tolist() for k in range(partition.n_slices)]
 
 
 def members_by_value(outputs, partition):
     """Sets of response values per slice, for order-free comparisons."""
     outputs = np.asarray(outputs, dtype=float)
-    return [set(outputs[idx]) for idx in partition.membership]
+    return [set(outputs[idx]) for idx in members(partition)]
 
 
 class TestFixedPartition:
@@ -62,9 +66,7 @@ class TestFixedPartition:
             y = np.round(rng.standard_normal(n), 1)  # force some ties
             r = int(rng.integers(1, 9))
             p = partition_fixed(y, r)
-            expected = slice_membership(y, p.boundaries)
-            got = [sorted(idx.tolist()) for idx in p.membership]
-            assert got == [sorted(e) for e in expected]
+            assert members(p) == slice_membership(y, p.boundaries)
 
 
 class TestEqualCountPartition:
@@ -121,9 +123,7 @@ class TestEqualCountPartition:
             y = np.round(rng.standard_normal(n), 1)
             r = int(rng.integers(1, min(8, n) + 1))
             p = partition_equal_count(y, r)
-            expected = slice_membership(y, p.boundaries)
-            got = [sorted(idx.tolist()) for idx in p.membership]
-            assert got == [sorted(e) for e in expected]
+            assert members(p) == slice_membership(y, p.boundaries)
 
 
 @pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
@@ -133,7 +133,7 @@ def test_adjacent_doubles_split_at_the_lower_value(partition):
     y = np.array([np.nextafter(a, 0.0), a])
     p = partition(y, 2)
     np.testing.assert_array_equal(p.boundaries, [a, a, y[0]])
-    assert [ix.tolist() for ix in p.membership] == [[1], [0]]
+    assert p.labels.tolist() == [1, 0]
 
 
 class TestPartitionInvariants:
@@ -154,16 +154,14 @@ class TestPartitionInvariants:
     def test_indices_partition_the_sample(self):
         rng = np.random.default_rng(31)
         for y, p in self._random_partitions(rng):
-            flat = np.concatenate(p.membership)
-            assert len(flat) == len(y)
-            np.testing.assert_array_equal(np.sort(flat), np.arange(len(y)))
+            assert len(p.labels) == len(y)
+            assert p.labels.max() < p.n_slices
 
     def test_responses_contained_in_intervals(self):
         rng = np.random.default_rng(32)
         for y, p in self._random_partitions(rng):
-            for r, idx in enumerate(p.membership):
-                assert np.all(y[idx] >= p.boundaries[r])
-                assert np.all(y[idx] <= p.boundaries[r + 1])
+            assert np.all(y >= p.boundaries[p.labels])
+            assert np.all(y <= p.boundaries[p.labels + 1])
 
     def test_no_empty_slices(self):
         rng = np.random.default_rng(33)
@@ -178,26 +176,26 @@ class TestPartitionInvariants:
             r = int(rng.integers(1, 5))
             base = partition_equal_count(y, r)
             mapped = partition_equal_count(np.exp(y) + y**3, r)
-            for a, b in zip(base.membership, mapped.membership):
-                np.testing.assert_array_equal(np.sort(a), np.sort(b))
+            np.testing.assert_array_equal(base.labels, mapped.labels)
 
     def test_partition_rejects_empty_membership(self):
-        with pytest.raises(ValueError):
-            SlicePartition(
-                boundaries=np.array([0.0, 1.0, 2.0]),
-                order=np.array([0, 1]),
-                offsets=np.array([0, 2, 2]),
-                scheme="fixed",
-            )
+        with pytest.raises(ValueError, match="at least one sample"):
+            SlicePartition(boundaries=np.array([0.0, 1.0, 2.0]), labels=np.array([0, 0]),
+                           scheme="fixed")
+
+    @pytest.mark.parametrize("labels", [[[0, 1]], [0.0, 1.0]])
+    def test_partition_rejects_labels_that_are_not_an_integer_vector(self, labels):
+        with pytest.raises(ValueError, match="vector of slice indices"):
+            SlicePartition(boundaries=np.array([0.0, 1.0, 2.0]), labels=np.array(labels),
+                           scheme="fixed")
+
+    def test_partition_rejects_fewer_than_two_boundaries(self):
+        with pytest.raises(ValueError, match="at least two boundaries"):
+            SlicePartition(boundaries=np.array([0.0]), labels=np.array([0]), scheme="fixed")
 
     def test_partition_rejects_descending_boundaries(self):
         with pytest.raises(ValueError):
-            SlicePartition(
-                boundaries=np.array([1.0, 0.0]),
-                order=np.array([0]),
-                offsets=np.array([0, 1]),
-                scheme="fixed",
-            )
+            SlicePartition(boundaries=np.array([1.0, 0.0]), labels=np.array([0]), scheme="fixed")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partition_rejects_nan_boundaries(self):
@@ -233,24 +231,26 @@ def constant_responses(draw):
 
 @pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
 class TestLayoutProperties:
-    """The flat layout's invariants over random responses, with and without ties."""
+    """The labels' invariants over random responses, with and without ties."""
 
     @staticmethod
     def _slices(y, p):
-        return [y[p.order[a:b]] for a, b in zip(p.offsets[:-1], p.offsets[1:])]
+        return [y[p.labels == k] for k in range(p.n_slices)]
 
     @given(case=ANY_RESPONSES)
-    def test_order_is_a_permutation(self, partition, case):
+    def test_labels_are_frozen_slice_indices_in_the_narrowest_type(self, partition, case):
         y, r = case
         p = partition(y, r)
-        np.testing.assert_array_equal(np.sort(p.order), np.arange(len(y)))
+        assert len(p.labels) == len(y) and not p.labels.flags.writeable
+        assert p.labels.dtype == np.min_scalar_type(p.n_slices - 1)
+        assert p.labels.max() < p.n_slices
 
     @given(case=ANY_RESPONSES)
-    def test_offsets_strictly_ascend_from_zero_to_n(self, partition, case):
+    def test_counts_tally_the_labels_and_none_is_zero(self, partition, case):
         y, r = case
         p = partition(y, r)
-        assert p.offsets[0] == 0 and p.offsets[-1] == len(y)
-        assert np.all(np.diff(p.offsets) > 0)
+        np.testing.assert_array_equal(p.counts, np.bincount(p.labels))
+        assert np.all(p.counts > 0) and p.counts.sum() == len(y)
         assert 1 <= p.n_slices <= r
 
     @given(case=ANY_RESPONSES)
@@ -264,8 +264,7 @@ class TestLayoutProperties:
     def test_membership_matches_interval_scan(self, partition, case):
         y, r = case
         p = partition(y, r)
-        expected = [sorted(e) for e in slice_membership(y, p.boundaries)]
-        assert [sorted(ix.tolist()) for ix in p.membership] == expected
+        assert members(p) == slice_membership(y, p.boundaries)
 
     @given(case=st.one_of(constant_responses(), ANY_RESPONSES))
     def test_degenerate_exactly_when_constant(self, partition, case):
@@ -274,8 +273,8 @@ class TestLayoutProperties:
         assert p.degenerate == (y.min() == y.max())
         if p.degenerate:
             assert p.n_slices == 1
-            np.testing.assert_array_equal(p.order, np.arange(len(y)))
-            np.testing.assert_array_equal(p.offsets, [0, len(y)])
+            assert not p.labels.any()
+            np.testing.assert_array_equal(p.counts, [len(y)])
             assert p.boundaries.tolist() == [y[0], y[0]]  # equal as values: -0.0 == 0.0
 
     @given(case=responses_and_slice_count(ties=True))
@@ -310,33 +309,33 @@ def tie_heavy_responses(draw):
     return y, draw(st.integers(1, min(n, 60)))
 
 
-class TestStableOrder:
-    """Both schemes list each slice's samples in ascending index order."""
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+@given(case=tie_heavy_responses(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_responses_permutes_the_labels(partition, case, seed):
+    """Cuts never split a tie run, so how a sort orders ties cannot reach the labels."""
+    y, r = case
+    perm = np.random.default_rng(seed).permutation(len(y))
+    p, q = partition(y, r), partition(y[perm], r)
+    np.testing.assert_array_equal(q.labels, p.labels[perm])
+    np.testing.assert_array_equal(q.boundaries, p.boundaries)  # -0.0 equals 0.0
 
-    @given(case=tie_heavy_responses())
-    def test_equal_count_order_is_the_stable_argsort(self, case):
-        y, r = case
-        p, stable = partition_equal_count(y, r), np.argsort(y, kind="stable")
-        np.testing.assert_array_equal(p.order, stable)
-        # -0.0 ties 0.0, so only the stable order fixes the outer boundaries' bits.
-        assert p.boundaries[[0, -1]].tobytes() == y[stable[[0, -1]]].tobytes()
 
-    @given(case=tie_heavy_responses())
-    def test_fixed_order_is_the_stable_argsort_of_the_slice_index(self, case):
-        y, r = case
-        p = partition_fixed(y, r)
-        label = np.empty(len(y), dtype=int)
-        for k, members in enumerate(slice_membership(y, p.boundaries)):
-            label[members] = k
-        np.testing.assert_array_equal(p.order, np.argsort(label, kind="stable"))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_signed_zeros_give_the_stable_outer_boundaries(self, seed):
-        y = np.random.default_rng(seed).choice([0.0, -0.0, 1.0], 1000)
-        stable = np.argsort(y, kind="stable")
-        p = partition_equal_count(y, 7)
-        np.testing.assert_array_equal(p.order, stable)
-        assert p.boundaries[[0, -1]].tobytes() == y[stable[[0, -1]]].tobytes()
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+@pytest.mark.parametrize("n_slices, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_slice_counts_at_the_label_width_edge(partition, n_slices, dtype):
+    """Labels up to 255 fit in uint8; the loop oracle checks the moments either side."""
+    rng = np.random.default_rng(n_slices)
+    n = 3 * n_slices + 7
+    y = rng.permutation(n).astype(float)  # evenly spread: no fixed-width slice is empty
+    s = standardized_set(rng.standard_normal((n, 2)), y)
+    p = partition(y, n_slices)
+    assert p.n_slices == n_slices and p.labels.dtype == dtype
+    stats = slice_stats(s, p)
+    for k, idx in enumerate(slice_membership(y, p.boundaries)):
+        assert stats.counts[k] == len(idx)
+        np.testing.assert_allclose(stats.means[k], slice_mean(s.inputs, idx), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.covariances[k], slice_covariance(s.inputs, idx),
+                                   rtol=0, atol=1e-12)
 
 
 @given(case=responses_and_slice_count(ties=False))
@@ -438,31 +437,31 @@ class TestSliceStats:
         for sa, sb in zip(a.covariances, b.covariances):
             np.testing.assert_allclose(sa, sb, atol=1e-13)
 
-    @pytest.mark.parametrize("order, match", [
-        ([0, 0, 2], "index coverage"),
-        ([-1, 1, 2], "index coverage"),
-        ([0, 1, 3], "index coverage"),
-        ([2, 1, 0], "responses out of slice"),
+    @pytest.mark.parametrize("labels, match", [
+        ([0, 1], "different sample count"),
+        ([0, 1, 1, 1], "different sample count"),
+        ([0, 0, 1], "responses out of slice"),
+        ([1, 0, 1], "responses out of slice"),
     ])
-    def test_partition_not_matching_the_samples_rejected(self, order, match):
+    def test_partition_not_matching_the_samples_rejected(self, labels, match):
         s = standardized_set(np.ones((3, 1)), [1.0, 2.0, 3.0])
-        p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), order=np.array(order),
-                           offsets=np.array([0, 1, 3]), scheme="fixed")
+        p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), labels=np.array(labels),
+                           scheme="fixed")
         with pytest.raises(ValueError, match=match):
             slice_stats(s, p)
 
-    @pytest.mark.parametrize("order", [[-1, 1, 2], [0, 1, 3]])
-    def test_labels_refuse_an_index_outside_the_samples(self, order):
-        """Refused before the assignment, where -1 would wrap and 3 raise IndexError."""
-        p = SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), order=np.array(order),
-                           offsets=np.array([0, 1, 3]), scheme="fixed")
-        with pytest.raises(ValueError, match="index coverage"):
-            slice_labels(p)
+    @pytest.mark.parametrize("labels, match", [([-1, 1, 1], "negative"),
+                                               ([0, 1, 2], "not below the slice count")])
+    def test_labels_refuse_an_index_outside_the_samples(self, labels, match):
+        """Refused at construction, before a gather could wrap -1 or run past slice R."""
+        with pytest.raises(ValueError, match=match):
+            SlicePartition(boundaries=np.array([1.0, 1.5, 3.0]), labels=np.array(labels),
+                           scheme="fixed")
 
     def test_partition_from_other_outputs_rejected(self):
         s = standardized_set(np.ones((4, 2)), [1.0, 2.0, 3.0, 4.0])
         p = partition_equal_count([1.0, 2.0], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different sample count"):
             slice_stats(s, p)
 
 
