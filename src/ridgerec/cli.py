@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from ridgerec.core import METHODS, SampleSet, Standardizer, validate_sample_set, write_atomic
-from ridgerec.estimators import check_estimate_rules, estimate
+from ridgerec.estimators import RankError, check_estimate_rules, estimate
 from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
 from ridgerec.measures import (WHITENING_DEFECT_LIMIT, InputMeasure, fit_standardizer,
                                standardize, whitening_defect)
@@ -246,11 +246,13 @@ def _obtain_samples(args: argparse.Namespace):
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
         defect, where = whitening_defect(s.rows)
-        if defect > WHITENING_DEFECT_LIMIT:
+        if not defect <= WHITENING_DEFECT_LIMIT:  # nan, where a square overflows, too
+            off = (f"{defect:.1f} standard errors from its whitened value"
+                   if np.isfinite(defect) else "not finite")
             raise UsageError(
                 f"--assume-standardized, but the rows are not whitened: their {where} is "
-                f"{defect:.1f} standard errors from its whitened value (limit "
-                f"{WHITENING_DEFECT_LIMIT:g}); give a \"measure\" spec to whiten against")
+                f"{off} (limit {WHITENING_DEFECT_LIMIT:g} standard errors); give a "
+                f"\"measure\" spec to whiten against")
         std = Standardizer.identity(s.dimension)
     elif args.measure is not None:
         std = fit_standardizer(measure_from_spec(args.measure))
@@ -484,7 +486,7 @@ def main(argv: Optional[list] = None) -> int:
             args.measure = config.get("measure")
             return cmd_estimate(args)
         return cmd_converge(args)
-    except UsageError as exc:
+    except (UsageError, RankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/numeric failure

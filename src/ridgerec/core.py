@@ -10,6 +10,10 @@ values whichever thread computes them.
 may use, or none, with the jobs run on the calling thread, for a single
 job, inside a pool thread, where pools would nest, and where one CPU is
 all there is.
+:data:`_one_blas_thread` holds OpenBLAS at one thread while a call that
+does m^3 or N m^2 linear algebra runs, so its bits do not depend on the
+CPU count; the slice work that OpenBLAS would have threaded runs on the
+pool instead.
 :data:`METHODS` is the one list of estimator names.  Validation
 of sample sets is a separate, non-throwing operation (:func:`validate_sample_set`); the
 spectral containers check their defining invariants at construction time
@@ -19,6 +23,7 @@ because a malformed spectrum is always a programming error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -115,6 +120,103 @@ def _cpu_pool(jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
+#: Fewest values whose copy into a sample set is split into row blocks on
+#: the CPU pool.  Copying N = 10^5 rows of m = 200 took 53 ms on one
+#: thread and 28 ms in blocks on 2 vCPUs.
+ROW_COPY_MIN_VALUES = 1 << 20
+#: Row blocks per pool thread of a split copy, so a CPU that another
+#: process slows copies fewer of them.
+ROW_COPY_BLOCKS_PER_THREAD = 4
+
+
+def _freeze_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`_freeze` for sample rows: a float64 copy of ``ROW_COPY_MIN_VALUES`` or more
+    values is made in row blocks on the CPU pool (:func:`_cpu_pool`).
+
+    The copy has the memory layout that :func:`_freeze` would give it,
+    and a copy holds the same bytes whichever thread makes it.
+    """
+    if a.dtype != np.float64 or a.ndim != 2 or a.size < ROW_COPY_MIN_VALUES:
+        return _freeze(a)
+    out = np.empty_like(a)
+    cuts = np.linspace(0, len(a), ROW_COPY_BLOCKS_PER_THREAD * _pool_width() + 1).astype(int)
+    blocks = [slice(b, e) for b, e in zip(cuts[:-1], cuts[1:]) if e > b]
+
+    def copy(rows: slice) -> None:
+        out[rows] = a[rows]
+
+    with _cpu_pool(len(blocks)) as pool:
+        list(pool.map(copy, blocks))
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _openblas_calls():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None if not found.
+
+    Looked up on first use, not at import, through the handle of numpy's
+    linear-algebra extension, whose symbol search covers the BLAS it
+    links: the scipy-openblas build with 64-bit integers that numpy's
+    wheels ship.
+    """
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # another BLAS build
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Holds OpenBLAS at one thread, as a context or a function decorator; reentrant.
+
+    The first holder saves the thread count and sets it to one; the last
+    to leave, also on an error, restores the saved count.  Nested holds
+    and concurrent holds from several threads therefore never restore it
+    early.  The setting is process-wide: while any holder is inside, BLAS
+    calls of every thread run on one thread.  Entering gives True, or
+    False where no OpenBLAS thread call is found (:func:`_openblas_calls`),
+    and then nothing is changed.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = 0
+
+    def __enter__(self) -> bool:
+        calls = _openblas_calls()
+        if calls is None:
+            return False
+        get, put = calls
+        with self._lock:
+            if not self._holders:
+                self._saved = get()
+                put(1)
+            self._holders += 1
+        return True
+
+    def __exit__(self, *exc) -> None:
+        calls = _openblas_calls()
+        if calls is None:
+            return
+        with self._lock:
+            self._holders -= 1
+            if not self._holders:
+                calls[1](self._saved)
+
+
+#: The one OpenBLAS pin: ``with _one_blas_thread as pinned:`` or ``@_one_blas_thread``.
+_one_blas_thread = _OneBlasThread()
+
+
 def write_atomic(path: Path, data: Union[str, bytes, Iterable[bytes]]) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename.
 
@@ -207,7 +309,7 @@ class SampleSet:
     standardizer: Optional[Standardizer]
 
     def __init__(self, inputs, outputs):
-        self._fill(_freeze(np.atleast_2d(inputs)), _freeze(np.ravel(outputs)), None)
+        self._fill(_freeze_rows(np.atleast_2d(inputs)), _freeze(np.ravel(outputs)), None)
 
     def _fill(self, rows, outputs, standardizer) -> None:
         object.__setattr__(self, "rows", rows)
@@ -224,6 +326,7 @@ class SampleSet:
         return s
 
     @functools.cached_property
+    @_one_blas_thread
     def inputs(self) -> np.ndarray:
         """The rows in whitened coordinates, read-only; computed once, on first read."""
         std = self.standardizer

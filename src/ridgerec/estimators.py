@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ridgerec.core import METHODS, SampleSet, SdrEstimate
+from ridgerec.core import METHODS, SampleSet, SdrEstimate, _one_blas_thread
 from ridgerec.slicing import (
     SCHEMES,
     SlicePartition,
     SliceStats,
+    map_slices,
     partition_equal_count,
     partition_fixed,
     slice_stats,
@@ -40,7 +41,21 @@ def sir_matrix(stats: SliceStats) -> np.ndarray:
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Weighted squares of the covariance defects: (1/N) sum_r N_r (I - Sigma_r)^2."""
     d = np.eye(stats.dimension) - stats.covariances
-    return np.tensordot(stats.counts, d @ d, axes=1) / stats.counts.sum()
+    return np.tensordot(stats.counts, map_slices(lambda a: a @ a, d), axes=1) / stats.counts.sum()
+
+
+class RankError(ValueError):
+    """More SIR directions asked for than slices; the command line exits 2 on it.
+
+    SIR's matrix is a weighted sum of one outer product per slice, so its
+    rank is at most the slice count and the directions past it are round-off.
+    """
+
+
+def _check_sir_rank(n_components: int, n_slices: int, which: str) -> None:
+    if n_components > n_slices:
+        raise RankError(f"n_components {n_components}: SIR's matrix has rank at most its "
+                        f"slice count, but only {n_slices} slices {which}")
 
 
 def check_estimate_rules(method: str, n_components: int, dimension: int, scheme: str,
@@ -49,12 +64,14 @@ def check_estimate_rules(method: str, n_components: int, dimension: int, scheme:
 
     These are the rules that need no sample: a known method and scheme,
     1 <= n_components <= dimension, at least one slice, no more
-    equal-count slices than samples, and for SAVE at least two samples in
+    equal-count slices than samples, for SIR no more components than
+    slices (:class:`RankError`), and for SAVE at least two samples in
     every equal-count slice.  Callers check them before drawing or
-    reading, and :func:`estimate` checks them on its sample set.  SAVE's
-    smallest slice is checked again after partitioning
+    reading, and :func:`estimate` checks them on its sample set.  SIR's
+    rank and SAVE's smallest slice are checked again after partitioning
     (:func:`method_partition`), since tie runs and fixed-width slices can
-    leave a slice of one that floor(N / R) does not predict.
+    realize fewer slices, or leave a slice of one, that floor(N / R)
+    does not predict.
     ``size_name`` says which count ``n_samples`` is, for the messages.
     Raises ValueError.
     """
@@ -69,6 +86,8 @@ def check_estimate_rules(method: str, n_components: int, dimension: int, scheme:
                          f"input dimension {dimension}")
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
+    if method == "sir":
+        _check_sir_rank(n_components, n_slices, "are asked for")
     if scheme == "equal-count" and n_slices > n_samples:
         raise ValueError(f"{n_slices} equal-count slices need at least as many samples, "
                          f"but {size_name} is {n_samples}")
@@ -86,9 +105,13 @@ def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:
     raise ValueError(f"unknown slicing scheme {scheme!r}")
 
 
-def method_partition(outputs, n_slices: int, scheme: str, method: str) -> SlicePartition:
-    """:func:`make_partition`, refusing a SAVE partition with a one-sample slice."""
+def method_partition(outputs, n_slices: int, scheme: str, method: str,
+                     n_components: int) -> SlicePartition:
+    """:func:`make_partition`, refusing a SIR partition of fewer slices than
+    ``n_components`` (:class:`RankError`) and a SAVE partition with a one-sample slice."""
     partition = make_partition(outputs, n_slices, scheme)
+    if method == "sir":
+        _check_sir_rank(n_components, partition.n_slices, "are realized")
     if method == "save" and partition.min_count < 2:
         # A one-sample slice has zero covariance and adds a full-weight I term.
         raise ValueError(
@@ -110,6 +133,7 @@ def estimate_from_stats(stats: SliceStats, partition: SlicePartition, method: st
     )
 
 
+@_one_blas_thread
 def estimate(
     s: SampleSet,
     n_slices: int,
@@ -143,5 +167,5 @@ def estimate(
         )
     check_estimate_rules(method, n_components, s.dimension, scheme, n_slices, s.n_samples,
                          "the sample count")
-    partition = method_partition(s.outputs, n_slices, scheme, method)
+    partition = method_partition(s.outputs, n_slices, scheme, method, n_components)
     return estimate_from_stats(slice_stats(s, partition), partition, method, n_components)

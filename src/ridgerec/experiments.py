@@ -35,6 +35,7 @@ from ridgerec.core import (
     SymmetricSpectrum,
     _cpu_pool,
     _freeze,
+    _one_blas_thread,
     write_atomic,
 )
 from ridgerec.estimators import (
@@ -147,6 +148,7 @@ class ConvergenceStudy:
         return int(np.sum(np.diff(list(self.mean_by_size("subspace_dist").values())) > 0))
 
 
+@_one_blas_thread
 def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     """High-N estimate standing in for the population matrix, cached in ``cache_dir``.
 
@@ -211,7 +213,7 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     y = np.empty(n)
     stream_chunks(fn.measure, n, cfg.truth_seed,
                   lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]))
-    partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method)
+    partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
     del y  # pass 2 evaluates each chunk again
     r = partition.n_slices
     counts, means, scatter = np.zeros(r, dtype=np.intp), np.zeros((r, m)), np.zeros((r, m, m))
@@ -244,6 +246,7 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 
 
+@_one_blas_thread
 def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
     """Run the full study: per-size trials against the truth surrogate.
 
@@ -398,6 +401,7 @@ class SummaryPlotData:
             raise ValueError("projection rows must match output length")
 
 
+@_one_blas_thread
 def summary_plot_data(s: SampleSet, est: SdrEstimate, dims: int) -> SummaryPlotData:
     """Project the inputs onto the first one or two recovered directions."""
     if dims not in (1, 2):

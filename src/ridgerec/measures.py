@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Standardizer, _freeze
+from ridgerec.core import SampleSet, Standardizer, _freeze, _one_blas_thread
 
 _MASK64 = (1 << 64) - 1
 
@@ -152,6 +152,7 @@ def draw(measure: InputMeasure, n_samples: int, seed: Union[int, np.random.Gener
 # Standardization
 # ---------------------------------------------------------------------------
 
+@_one_blas_thread
 def fit_standardizer(measure: InputMeasure) -> Standardizer:
     """Build the exact standardizer of a measure from its analytic moments."""
     m = measure.dimension
@@ -193,6 +194,7 @@ def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
 WHITENING_DEFECT_LIMIT = 8.0
 
 
+@_one_blas_thread
 def whitening_defect(rows: np.ndarray) -> tuple[float, str]:
     """How far rows declared whitened lie from zero mean and identity second moment.
 
@@ -202,15 +204,18 @@ def whitening_defect(rows: np.ndarray) -> tuple[float, str]:
     bounds by (m4_j m4_k)^(1/4)/sqrt(N), with each fourth moment m4 taken
     from the column itself and floored at the Gaussian value 3.  Returns
     the worst defect and what it is, such as ``"mean of x3"`` or
-    ``"entry (x1, x2) of X'X/N"``.  It costs one O(N m^2) pass, which
-    the estimators never make.
+    ``"entry (x1, x2) of X'X/N"``; the defect is nan, and names the first
+    moment it cannot measure, when a square overflows (|x| above about
+    1.3e154).  It costs one O(N m^2) pass, which the estimators never make.
     """
     n, m = rows.shape
     root_n = np.sqrt(n)
-    mean = np.abs(rows.mean(axis=0)) * root_n
-    squares = rows * rows
-    m4 = np.maximum(np.einsum("ij,ij->j", squares, squares) / n, 3.0)
-    second = np.abs(rows.T @ rows / n - np.eye(m)) * root_n / np.sqrt(np.sqrt(np.outer(m4, m4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives nan, as documented
+        mean = np.abs(rows.mean(axis=0)) * root_n
+        squares = rows * rows
+        m4 = np.maximum(np.einsum("ij,ij->j", squares, squares) / n, 3.0)
+        second = (np.abs(rows.T @ rows / n - np.eye(m)) * root_n
+                  / np.sqrt(np.sqrt(np.outer(m4, m4))))
     c = int(np.argmax(mean))
     j, k = np.unravel_index(np.argmax(second), second.shape)
     if mean[c] >= second[j, k]:

@@ -36,22 +36,29 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Standardizer, _cpu_pool, _freeze, _pool_width
+from ridgerec.core import (SampleSet, Standardizer, _cpu_pool, _freeze, _one_blas_thread,
+                           _pool_width)
 
 SCHEMES = ("fixed", "equal-count")
 
-#: Widest rows whose slice moments fan out over the CPU pool.  Parallel
-#: over serial time of the slice moments at N = 10^6, 2 vCPUs, OpenBLAS at
-#: 2 threads: 0.53-0.60 at m = 10 and 0.43-0.57 at m = 50-64, but
-#: 0.91-1.06 at m = 80 and 1.00-1.08 at m = 100-200, where OpenBLAS
-#: already threads each product.
+#: Widest rows whose slice moments fan out where OpenBLAS cannot be held
+#: at one thread (:data:`~ridgerec.core._one_blas_thread` finds no
+#: thread call): wider rows take one worker, since OpenBLAS threads each
+#: product there.  Where it is held, the slice moments fan out at every
+#: width.
 FAN_OUT_MAX_WIDTH = 64
 
 #: Fewest row values (N m) whose slice moments fan out.  Starting the
-#: pool costs about 1.5 ms on the host above: parallel over serial time
+#: pool costs about 1.5 ms on 2 vCPUs: parallel over serial time
 #: was 1.7-4.6 at N m = 10^4-2.5 10^5, 0.86-1.05 at 5 10^5-6.4 10^5 and
 #: 0.62-0.96 from 10^6 up, for m = 5-64 and R = 20.
 FAN_OUT_MIN_VALUES = 1 << 20
+
+#: Fewest R m^3 whose per-slice products (:func:`map_slices`) fan out.
+#: With OpenBLAS at one thread on 2 vCPUs, W Sigma_r W' for R = 20 took
+#: 1.0 ms in one batched call and 2.0 ms on the pool at m = 64
+#: (R m^3 = 5.2 10^6), but 3.3 against 2.5 ms at m = 100 (2 10^7).
+PRODUCT_FAN_OUT_MIN = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -239,8 +246,10 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
     means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice with
     no rows gets zeros, and one with a single row a zero sum.
 
-    When the rows are at most ``FAN_OUT_MAX_WIDTH`` wide and hold at
-    least ``FAN_OUT_MIN_VALUES`` values, one worker per pool thread
+    OpenBLAS is held at one thread throughout
+    (:data:`~ridgerec.core._one_blas_thread`).  When the rows hold at
+    least ``FAN_OUT_MIN_VALUES`` values (and, where OpenBLAS cannot be
+    held, are at most ``FAN_OUT_MAX_WIDTH`` wide), one worker per pool thread
     (:func:`~ridgerec.core._cpu_pool`) takes the slices in order, each
     slice going to the first free worker; otherwise one worker on the
     calling thread takes them all.  Taking slices as workers free up,
@@ -263,10 +272,6 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
     scatter = np.zeros((n_slices, m, m))
     counts = np.diff(offsets)
     big = counts.max()
-    fan_out = m <= FAN_OUT_MAX_WIDTH and offsets[-1] * m >= FAN_OUT_MIN_VALUES
-    # No more workers than the largest slice fits into the rows, so the
-    # buffers together hold at most N rows.
-    workers = min(_pool_width(), offsets[-1] // big) if fan_out else 1
     todo, lock = iter(range(n_slices)), threading.Lock()
 
     def moments(buf: np.ndarray) -> None:
@@ -285,9 +290,39 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
                 xs -= means[r]
                 scatter[r] = xs.T @ xs
 
-    with _cpu_pool(workers) as pool:
-        list(pool.map(moments, [np.empty((big, m)) for _ in range(workers)]))
+    with _one_blas_thread as pinned:
+        fan_out = (pinned or m <= FAN_OUT_MAX_WIDTH) and offsets[-1] * m >= FAN_OUT_MIN_VALUES
+        # No more workers than the largest slice fits into the rows, so the
+        # buffers together hold at most N rows.
+        workers = min(_pool_width(), offsets[-1] // big) if fan_out else 1
+        with _cpu_pool(workers) as pool:
+            list(pool.map(moments, [np.empty((big, m)) for _ in range(workers)]))
     return means, scatter
+
+
+def map_slices(f, stack: np.ndarray) -> np.ndarray:
+    """``f`` of each m x m matrix of an (R, m, m) ``stack``, as a new (R, m, m) array.
+
+    ``f`` is a product of matrices that numpy broadcasts over the stack,
+    such as ``lambda a: W @ a @ W.T``, so ``f(stack)`` and ``f`` of each
+    slice give the same bits.  OpenBLAS is held at one thread
+    (:data:`~ridgerec.core._one_blas_thread`), and when it is and R m^3
+    is at least ``PRODUCT_FAN_OUT_MIN``, each slice is taken by the first
+    free pool thread (:func:`~ridgerec.core._cpu_pool`); otherwise
+    ``f(stack)`` runs here.
+    """
+    n_slices, m = stack.shape[:2]
+    with _one_blas_thread as pinned:
+        if not pinned or _pool_width() < 2 or n_slices * m**3 < PRODUCT_FAN_OUT_MIN:
+            return f(stack)
+        out = np.empty_like(stack)
+
+        def one(r: int) -> None:
+            out[r] = f(stack[r])
+
+        with _cpu_pool(n_slices) as pool:
+            list(pool.map(one, range(n_slices)))
+    return out
 
 
 def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
@@ -319,15 +354,15 @@ def whitened_slice_stats(counts: np.ndarray, means: np.ndarray, scatter: np.ndar
     The covariances are ``scatter / (N_r - 1)``, computed in ``scatter``'s
     own buffer, which the caller hands over; a single-sample slice's zero
     sum stays zero.  z = W (x - mean) is affine, so the whitened slice
-    means are W (mu_r - mean) and the covariances W Sigma_r W': O(R m^3)
-    instead of whitening all N rows.  The identity map (or None) is
-    skipped, which is exact.
+    means are W (mu_r - mean) and the covariances W Sigma_r W', taken per
+    slice (:func:`map_slices`): O(R m^3) instead of whitening all N rows.
+    The identity map (or None) is skipped, which is exact.
     """
     covs = np.divide(scatter, np.maximum(counts - 1, 1)[:, None, None], out=scatter)
     if std is not None and not std.is_identity:
         W = std.whitening
         means = (means - std.mean) @ W.T
-        covs = W @ covs @ W.T
+        covs = map_slices(lambda a: W @ a @ W.T, covs)
     return SliceStats(counts=counts, means=means, covariances=covs)
 
 

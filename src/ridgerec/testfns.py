@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Subspace, _cpu_pool
+from ridgerec.core import SampleSet, Subspace, _cpu_pool, _one_blas_thread
 from ridgerec.measures import (
     InputMeasure,
     Standardizer,
@@ -278,6 +278,7 @@ def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
         running.result()
 
 
+@_one_blas_thread
 def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
     """Draw inputs from the model's measure, evaluate, and standardize.
 

@@ -235,6 +235,17 @@ class TestEstimateCommands:
         assert "mean of x1 is 318.2 standard errors" in err and "limit 8" in err
         assert not out.exists()
 
+    def test_assume_standardized_refuses_a_moment_that_overflows(self, tmp_path, capsys):
+        """A square of 2e154 overflows, so the defect is nan, which no limit test passes."""
+        rows = np.random.default_rng(6).standard_normal((2000, 3))
+        rows[7, 1] = 2e154
+        csv = tmp_path / "samples.csv"
+        write_samples_csv(csv, rows, rows[:, 0] ** 2)
+        out = tmp_path / "out"
+        assert run("save", "--input", str(csv), "--assume-standardized", "--out", str(out)) == 2
+        assert "entry (x2, x2) of X'X/N is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_only_file_has_no_rows(self, tmp_path, capsys):
         csv = tmp_path / "samples.csv"
         csv.write_text("x1,x2,y\n")
@@ -391,6 +402,9 @@ class TestEstimateCommands:
         (["sir", "--n", "1000000", "--dim", "11"], "exceeds input dimension 10"),
         (["sir", "--n", "1000000", "--slices", "2000000"], "2000000 equal-count slices"),
         (["save", "--n", "60", "--slices", "40"], "SAVE needs at least 2 samples per slice"),
+        (["sir", "--n", "20000", "--slices", "2", "--dim", "3"],
+         "n_components 3: SIR's matrix has rank at most its slice count, but only 2 slices "
+         "are asked for"),
     ])
     def test_rules_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, flags, message):
         def drawing(*args):
@@ -408,6 +422,21 @@ class TestEstimateCommands:
                    "--out", str(out)) == 2
         assert "4 equal-count slices of the sample count 6" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, code", [(2, 0), (3, 2)])
+    def test_sir_components_past_the_realized_slices_refused(self, tmp_path, capsys, dim, code):
+        """Two response values fill 2 of 5 fixed-width slices, so SIR's rank is at most 2."""
+        rows = np.random.default_rng(8).standard_normal((2000, 3))
+        csv = tmp_path / "samples.csv"
+        write_samples_csv(csv, rows, (rows[:, 0] > 0).astype(float))
+        out = tmp_path / "out"
+        assert run("sir", "--input", str(csv), "--assume-standardized", "--slices", "5",
+                   "--slice-scheme", "fixed", "--dim", str(dim), "--out", str(out)) == code
+        if code:
+            assert "only 2 slices are realized" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert read_json(out / "estimate.json")["slices_realized"] == 2
 
     def test_save_single_sample_fixed_slice_fails_after_partition(self, tmp_path, capsys):
         """Only the partition shows a one-sample fixed-width slice: a runtime failure."""
@@ -577,6 +606,14 @@ class TestConvergeCommand:
                    "--sizes", "10,20", "--slices", "8", "--truth-size", "200",
                    "--trials", "1", "--out", str(out)) == 2
         assert "SAVE needs at least 2 samples per slice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sir_components_past_the_slices_refused_before_any_draw(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("converge", "--function", "quad3", "--method", "sir",
+                   "--sizes", "100,200", "--slices", "2", "--dim", "3", "--truth-size", "2000",
+                   "--trials", "1", "--out", str(out)) == 2
+        assert "only 2 slices are asked for" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_cache_names_the_file(self, tmp_path, capsys):

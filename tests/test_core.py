@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ridgerec import core
 from ridgerec.core import (
     SampleSet,
     SdrEstimate,
@@ -75,6 +76,21 @@ class TestSampleSet:
         s = SampleSet(inputs=raw, outputs=out)
         raw[0, 0], out[0] = 99.0, 99.0
         assert s.inputs[0, 0] == 1.0 and s.outputs[0] == 3.0
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rows_copied_in_blocks_on_the_pool_are_the_rows(self, monkeypatch, cpus, layout,
+                                                            count):
+        """A large copy in row blocks keeps the bytes and the layout of a one-piece copy."""
+        monkeypatch.setattr(core, "ROW_COPY_MIN_VALUES", 40)
+        cpus(count)
+        x = np.random.default_rng(3).standard_normal((1001, 9))
+        x = {"C": x, "F": np.asfortranarray(x), "strided": x[:, :7]}[layout]
+        s = SampleSet(inputs=x, outputs=np.zeros(len(x)))
+        one_piece = core._freeze(x)
+        assert s.rows.tobytes("A") == one_piece.tobytes("A")
+        assert s.rows.strides == one_piece.strides
+        assert not s.rows.flags.writeable and s.rows.flags.owndata
 
 
 class TestSymmetricSpectrum:

@@ -42,6 +42,7 @@ def small_work_on_the_pool(monkeypatch):
     """Send even small samples through the pool: short chunks, fan-out at any size."""
     monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
     monkeypatch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
+    monkeypatch.setattr(slicing, "PRODUCT_FAN_OUT_MIN", 0)
 
 
 def ridge(dimension: int) -> testfns.TestFunction:
@@ -52,6 +53,15 @@ def ridge(dimension: int) -> testfns.TestFunction:
                         InputMeasure.standard_gaussian(dimension), Subspace(b))
 
 
+def tilted(dimension: int) -> testfns.TestFunction:
+    """:func:`ridge` under a Gaussian of dense covariance: the whitening is not the identity."""
+    fn = ridge(dimension)
+    a = np.random.default_rng(dimension + 1).standard_normal((dimension, dimension))
+    measure = InputMeasure.gaussian(np.linspace(-1.0, 1.0, dimension),
+                                    a @ a.T / dimension + np.eye(dimension))
+    return testfns.TestFunction(f"tilted{dimension}", fn.evaluator, measure, fn.true_subspace)
+
+
 def constant(dimension: int) -> testfns.TestFunction:
     fn = ridge(dimension)
     return testfns.TestFunction("constant", lambda x: np.zeros(len(x)), fn.measure,
@@ -60,7 +70,8 @@ def constant(dimension: int) -> testfns.TestFunction:
 
 # (model, N, method, scheme, slices, n): R below the worker count, a
 # one-slice degenerate partition, SIR slices of one sample, chunks with a
-# remainder, and rows on both sides of FAN_OUT_MAX_WIDTH.
+# remainder, rows on both sides of FAN_OUT_MAX_WIDTH, and wide rows whose
+# moments, whitening and SAVE products all run on the pool.
 CASES = {
     "quad3 save equal-count": (get_test_function("quad3"), 1037, "save", "equal-count", 7, 3),
     "quad3 sir fixed": (get_test_function("quad3"), 1037, "sir", "fixed", 40, 3),
@@ -70,6 +81,10 @@ CASES = {
     "one-sample SIR slices": (ridge(10), 999, "sir", "fixed", 50, 1),
     "wide save": (ridge(80), 1037, "save", "equal-count", 5, 1),
     "wide sir fixed": (ridge(80), 1037, "sir", "fixed", 30, 1),
+    "m=100 save equal-count": (tilted(100), 1037, "save", "equal-count", 5, 2),
+    "m=100 sir fixed": (tilted(100), 1037, "sir", "fixed", 30, 2),
+    "m=200 save equal-count": (tilted(200), 1037, "save", "equal-count", 5, 2),
+    "m=200 sir fixed": (tilted(200), 1037, "sir", "fixed", 30, 2),
 }
 
 

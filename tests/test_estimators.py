@@ -9,7 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ridgerec.core import PSD_TOL, SampleSet
-from ridgerec.estimators import estimate, make_partition, save_matrix, sir_matrix
+from ridgerec.estimators import (RankError, estimate, make_partition, method_partition,
+                                 save_matrix, sir_matrix)
 from ridgerec.measures import (InputMeasure, derive_seed, draw, fit_standardizer, generator,
                                standardize)
 from ridgerec.slicing import SCHEMES, partition_equal_count, slice_stats
@@ -127,6 +128,16 @@ class TestEstimatePipeline:
         s = standardized_set(x, x[:, 0] + x[:, 1])
         est = estimate(s, 1, "equal-count", "sir", 1)
         assert est.spectrum.eigenvalues[0] < 0.01
+
+    def test_sir_components_past_the_slice_count_refused(self):
+        """The rank rule holds before partitioning and for the slices realized; SAVE is exempt."""
+        s = standardized_set(np.eye(3)[np.arange(40) % 3], np.arange(40) % 2 * 1.0)
+        with pytest.raises(RankError, match="only 2 slices are asked for"):
+            estimate(s, 2, "equal-count", "sir", 3)
+        with pytest.raises(RankError, match="only 2 slices are realized"):
+            method_partition(s.outputs, 5, "fixed", "sir", 3)
+        assert method_partition(s.outputs, 5, "fixed", "sir", 2).n_slices == 2
+        assert method_partition(s.outputs, 5, "fixed", "save", 3).n_slices == 2
 
     def test_symmetric_ridge_defeats_sir_but_not_save(self):
         rng = generator(derive_seed(8, 1))
