@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from ridgerec.core import METHODS, SampleSet, Standardizer, validate_sample_set, write_atomic
-from ridgerec.estimators import RankError, check_estimate_rules, estimate
+from ridgerec.estimators import SliceRuleError, check_estimate_rules, estimate
 from ridgerec.experiments import StudyConfig, run_convergence, summary_plot_data
 from ridgerec.measures import (WHITENING_DEFECT_LIMIT, InputMeasure, fit_standardizer,
                                standardize, whitening_defect)
@@ -183,7 +183,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = _require(args.n, "--n")
     seed = args.seed or 0
     s = generate_samples(fn, n, seed)
-    write_samples_csv(args.out / "samples.csv", s.rows if args.raw else s.inputs, s.outputs)
+    rows = s.inputs if args.raw else s.standardizer.whiten(s.inputs)
+    write_samples_csv(args.out / "samples.csv", rows, s.outputs)
     sidecar = {
         "function": fn.name,
         "n": n,
@@ -245,7 +246,7 @@ def _obtain_samples(args: argparse.Namespace):
         raise UsageError("ingested samples are invalid: " + "; ".join(violations))
     if args.assume_standardized:
         _refuse(args, "--assume-standardized", "measure")
-        defect, where = whitening_defect(s.rows)
+        defect, where = whitening_defect(s.inputs)
         if not defect <= WHITENING_DEFECT_LIMIT:  # nan, where a square overflows, too
             off = (f"{defect:.1f} standard errors from its whitened value"
                    if np.isfinite(defect) else "not finite")
@@ -486,7 +487,7 @@ def main(argv: Optional[list] = None) -> int:
             args.measure = config.get("measure")
             return cmd_estimate(args)
         return cmd_converge(args)
-    except (UsageError, RankError) as exc:
+    except (UsageError, SliceRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/numeric failure

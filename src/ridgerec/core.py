@@ -3,9 +3,7 @@
 All containers, here and in the other modules, are frozen dataclasses
 holding read-only numpy arrays, so instances can be shared freely across
 threads, as :func:`ridgerec.experiments.run_convergence` shares the
-truth spectrum and the model across its trial threads: the whitened rows
-that :attr:`SampleSet.inputs` computes on first read hold the same
-values whichever thread computes them.
+truth spectrum and the model across its trial threads.
 :func:`_cpu_pool` is the one thread pool: one thread per CPU the process
 may use, or none, with the jobs run on the calling thread, for a single
 job, inside a pool thread, where pools would nest, and where one CPU is
@@ -278,23 +276,29 @@ class Standardizer:
     def dimension(self) -> int:
         return self.mean.size
 
+    @_one_blas_thread
+    def whiten(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` in whitened coordinates, ``(rows - mean) @ W.T``, read-only; under
+        the identity map, ``rows`` itself."""
+        if self.is_identity:
+            return rows
+        z = (rows - self.mean) @ self.whitening.T
+        z.setflags(write=False)
+        return z
+
 
 @dataclass(frozen=True, init=False)
 class SampleSet:
     """Paired inputs and scalar outputs, and the map that whitens the inputs.
 
-    A set holds one representation: the ``rows`` it was given and the
-    ``standardizer`` that maps them to whitened coordinates.  A set built
-    here is raw: its map is None.  :func:`ridgerec.measures.standardize`
-    is the one way to attach a map: it gives a raw set, once, a map over
-    the same rows, copying nothing, and refuses a set that has one
-    already.  Rows that are whitened already take the identity map,
+    A set holds one representation: the ``inputs`` it was given, raw or
+    not, and the ``standardizer`` that maps them to whitened coordinates
+    (:meth:`Standardizer.whiten`).  A set built here is raw: its map is
+    None.  :func:`ridgerec.measures.standardize` is the one way to attach
+    a map: it gives a raw set, once, a map over the same inputs, copying
+    nothing, and refuses a set that has one already.  Rows that are
+    whitened already take the identity map,
     ``standardize(SampleSet(x, y), Standardizer.identity(m))``.
-
-    ``inputs`` are the rows in whitened coordinates, ``(x - mean) @ W.T``,
-    computed on first read and kept; raw sets and sets under the identity
-    return ``rows`` itself.  The estimators never read them:
-    :func:`ridgerec.slicing.slice_stats` whitens the slice moments instead.
 
     Parameters
     ----------
@@ -304,37 +308,26 @@ class SampleSet:
         Scalar response per sample.
     """
 
-    rows: np.ndarray
+    inputs: np.ndarray
     outputs: np.ndarray
     standardizer: Optional[Standardizer]
 
     def __init__(self, inputs, outputs):
         self._fill(_freeze_rows(np.atleast_2d(inputs)), _freeze(np.ravel(outputs)), None)
 
-    def _fill(self, rows, outputs, standardizer) -> None:
-        object.__setattr__(self, "rows", rows)
+    def _fill(self, inputs, outputs, standardizer) -> None:
+        object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "standardizer", standardizer)
 
     @classmethod
-    def _shared(cls, rows, outputs, standardizer: Optional[Standardizer]) -> "SampleSet":
-        """A set that adopts ``rows`` and ``outputs`` without a copy and makes them read-only."""
-        rows.setflags(write=False)
+    def _shared(cls, inputs, outputs, standardizer: Optional[Standardizer]) -> "SampleSet":
+        """A set that adopts ``inputs`` and ``outputs`` without a copy and makes them read-only."""
+        inputs.setflags(write=False)
         outputs.setflags(write=False)
         s = cls.__new__(cls)
-        s._fill(rows, outputs, standardizer)
+        s._fill(inputs, outputs, standardizer)
         return s
-
-    @functools.cached_property
-    @_one_blas_thread
-    def inputs(self) -> np.ndarray:
-        """The rows in whitened coordinates, read-only; computed once, on first read."""
-        std = self.standardizer
-        if std is None or std.is_identity:
-            return self.rows
-        z = (self.rows - std.mean) @ std.whitening.T
-        z.setflags(write=False)
-        return z
 
     @property
     def standardized(self) -> bool:
@@ -342,11 +335,11 @@ class SampleSet:
 
     @property
     def n_samples(self) -> int:
-        return self.rows.shape[0]
+        return self.inputs.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.rows.shape[1]
+        return self.inputs.shape[1]
 
 
 def _at_rows(what: str, rows: np.ndarray) -> str:
@@ -362,18 +355,18 @@ def validate_sample_set(s: SampleSet) -> list[str]:
 
     Each violation names the failed invariant once.  One that rows break
     gives the offending row, or the number of such rows and the first
-    five.  An empty list means the set is well formed.  The stored rows
-    are checked, so no whitening is computed.  This function never raises.
+    five.  An empty list means the set is well formed.  The stored
+    inputs are checked as they were given.  This function never raises.
     """
     violations: list[str] = []
-    if s.rows.ndim != 2:
+    if s.inputs.ndim != 2:
         violations.append("inputs not two-dimensional")
         return violations
-    if s.rows.shape[0] != s.outputs.shape[0]:
+    if s.inputs.shape[0] != s.outputs.shape[0]:
         violations.append("length mismatch")
-    if s.rows.shape[0] < 1:
+    if s.inputs.shape[0] < 1:
         violations.append("empty sample set")
-    bad_in = np.flatnonzero(~np.isfinite(s.rows).all(axis=1))
+    bad_in = np.flatnonzero(~np.isfinite(s.inputs).all(axis=1))
     if bad_in.size:
         violations.append(_at_rows("non-finite entry", bad_in))
     bad_out = np.flatnonzero(~np.isfinite(s.outputs))

@@ -44,18 +44,21 @@ def save_matrix(stats: SliceStats) -> np.ndarray:
     return np.tensordot(stats.counts, map_slices(lambda a: a @ a, d), axes=1) / stats.counts.sum()
 
 
-class RankError(ValueError):
-    """More SIR directions asked for than slices; the command line exits 2 on it.
+class SliceRuleError(ValueError):
+    """A partition that the method cannot use; the command line exits 2 on it.
 
-    SIR's matrix is a weighted sum of one outer product per slice, so its
-    rank is at most the slice count and the directions past it are round-off.
+    Two rules.  SIR takes no more directions than slices: its matrix is a
+    weighted sum of one outer product per slice, so its rank is at most
+    the slice count and the directions past it are round-off.  SAVE takes
+    no slice of one sample: that slice's covariance is zero and adds a
+    full-weight I term.
     """
 
 
 def _check_sir_rank(n_components: int, n_slices: int, which: str) -> None:
     if n_components > n_slices:
-        raise RankError(f"n_components {n_components}: SIR's matrix has rank at most its "
-                        f"slice count, but only {n_slices} slices {which}")
+        raise SliceRuleError(f"n_components {n_components}: SIR's matrix has rank at most "
+                             f"its slice count, but only {n_slices} slices {which}")
 
 
 def check_estimate_rules(method: str, n_components: int, dimension: int, scheme: str,
@@ -64,14 +67,14 @@ def check_estimate_rules(method: str, n_components: int, dimension: int, scheme:
 
     These are the rules that need no sample: a known method and scheme,
     1 <= n_components <= dimension, at least one slice, no more
-    equal-count slices than samples, for SIR no more components than
-    slices (:class:`RankError`), and for SAVE at least two samples in
-    every equal-count slice.  Callers check them before drawing or
-    reading, and :func:`estimate` checks them on its sample set.  SIR's
-    rank and SAVE's smallest slice are checked again after partitioning
-    (:func:`method_partition`), since tie runs and fixed-width slices can
-    realize fewer slices, or leave a slice of one, that floor(N / R)
-    does not predict.
+    equal-count slices than samples, and the slice rules
+    (:class:`SliceRuleError`): for SIR no more components than slices,
+    and for SAVE at least two samples in every equal-count slice.
+    Callers check them before drawing or reading, and :func:`estimate`
+    checks them on its sample set.  The slice rules are checked again
+    after partitioning (:func:`method_partition`), since tie runs and
+    fixed-width slices can realize fewer slices, or leave a slice of one,
+    that floor(N / R) does not predict.
     ``size_name`` says which count ``n_samples`` is, for the messages.
     Raises ValueError.
     """
@@ -92,8 +95,8 @@ def check_estimate_rules(method: str, n_components: int, dimension: int, scheme:
         raise ValueError(f"{n_slices} equal-count slices need at least as many samples, "
                          f"but {size_name} is {n_samples}")
     if scheme == "equal-count" and method == "save" and n_samples // n_slices < 2:
-        raise ValueError(f"SAVE needs at least 2 samples per slice, but {n_slices} "
-                         f"equal-count slices of {size_name} {n_samples} leave a slice with one")
+        raise SliceRuleError(f"SAVE needs at least 2 samples per slice, but {n_slices} equal-"
+                             f"count slices of {size_name} {n_samples} leave a slice with one")
 
 
 def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:
@@ -108,13 +111,12 @@ def make_partition(outputs, n_slices: int, scheme: str) -> SlicePartition:
 def method_partition(outputs, n_slices: int, scheme: str, method: str,
                      n_components: int) -> SlicePartition:
     """:func:`make_partition`, refusing a SIR partition of fewer slices than
-    ``n_components`` (:class:`RankError`) and a SAVE partition with a one-sample slice."""
+    ``n_components`` and a SAVE partition with a one-sample slice (:class:`SliceRuleError`)."""
     partition = make_partition(outputs, n_slices, scheme)
     if method == "sir":
         _check_sir_rank(n_components, partition.n_slices, "are realized")
     if method == "save" and partition.min_count < 2:
-        # A one-sample slice has zero covariance and adds a full-weight I term.
-        raise ValueError(
+        raise SliceRuleError(
             f"SAVE needs at least 2 samples per slice, but the smallest slice has "
             f"{partition.min_count}; use fewer slices"
         )
@@ -147,8 +149,8 @@ def estimate(
     ----------
     s : SampleSet
         Must carry a standardizer (``s.standardized``); the estimator
-        formulas are only meaningful for whitened inputs.  Its whitened
-        ``inputs`` are not read.
+        formulas are only meaningful for whitened inputs.  Its inputs
+        are not whitened: the slice moments are.
     n_slices, scheme : int, str
         Slicing configuration ("fixed" or "equal-count").
     method : str

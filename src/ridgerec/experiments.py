@@ -166,7 +166,8 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
     layout = (SURROGATE_FORMAT, testfns.CHUNK_ROWS, __version__, fields)
     key = hashlib.sha256(repr(layout).encode()
-                         + probe.inputs.tobytes() + probe.outputs.tobytes()).hexdigest()
+                         + probe.standardizer.whiten(probe.inputs).tobytes()
+                         + probe.outputs.tobytes()).hexdigest()
     path = Path(cache_dir) / f"truth-{key}.npz"
     try:
         with open(path, "rb") as f, np.load(f) as data:
@@ -377,7 +378,7 @@ def bootstrap_eigenvalues(
     stack = np.empty((n_resamples, point.size))
     for b in range(n_resamples):
         idx = rng.integers(0, s.n_samples, size=s.n_samples)
-        res = SampleSet._shared(s.rows[idx], s.outputs[idx], s.standardizer)
+        res = SampleSet._shared(s.inputs[idx], s.outputs[idx], s.standardizer)
         stack[b] = estimate(res, n_slices, scheme, method, 1).spectrum.eigenvalues
     return BootstrapResult(
         n_resamples=n_resamples,
@@ -403,13 +404,15 @@ class SummaryPlotData:
 
 @_one_blas_thread
 def summary_plot_data(s: SampleSet, est: SdrEstimate, dims: int) -> SummaryPlotData:
-    """Project the inputs onto the first one or two recovered directions."""
+    """Project the whitened inputs, or a raw set's inputs as they are, onto the first
+    one or two recovered directions."""
     if dims not in (1, 2):
         raise ValueError("dims must be 1 or 2")
     if dims > est.n_requested:
         raise ValueError("dims exceeds the estimate's requested dimension")
     W = est.spectrum.eigenvectors[:, :dims]
-    return SummaryPlotData(projections=s.inputs @ W, outputs=s.outputs)
+    z = s.standardizer.whiten(s.inputs) if s.standardized else s.inputs
+    return SummaryPlotData(projections=z @ W, outputs=s.outputs)
 
 
 def quadratic_fit_r2(coords: np.ndarray, outputs: np.ndarray) -> float:

@@ -172,11 +172,12 @@ def fit_standardizer(measure: InputMeasure) -> Standardizer:
 def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
     """The raw sample set read through z = W (x - mean); outputs unchanged.
 
-    The cost is independent of N: the result shares ``s``'s frozen rows
-    and carries ``std``, with no copy and no matmul.  Its ``inputs``
-    whiten the rows on first read; the estimators never read them and
-    whiten the R slice moments instead.  A set is whitened once, from its
-    stored rows, so one that carries a standardizer already is refused.
+    The cost is independent of N: the result shares ``s``'s frozen
+    ``inputs`` and carries ``std``, with no copy and no matmul.  The
+    estimators whiten the R slice moments, never the rows;
+    ``std.whiten(s.inputs)`` gives the whitened rows.  A set is whitened
+    once, from its stored inputs, so one that carries a standardizer
+    already is refused.
     """
     if s.standardized:
         raise ValueError("sample set is standardized already; standardize its raw set once")
@@ -185,7 +186,7 @@ def standardize(s: SampleSet, std: Standardizer) -> SampleSet:
             f"dimension mismatch: samples have m={s.dimension}, "
             f"standardizer has m={std.dimension}"
         )
-    return SampleSet._shared(s.rows, s.outputs, std)
+    return SampleSet._shared(s.inputs, s.outputs, std)
 
 
 #: Standard errors beyond which a moment of rows declared whitened refutes

@@ -238,13 +238,19 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     return SlicePartition(boundaries=boundaries, labels=labels, scheme="equal-count")
 
 
-def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> tuple:
-    """Each slice's mean and centered sum of outer products of its rows.
+def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
+                  boundaries: np.ndarray) -> tuple:
+    """Each slice's count, mean and centered sum of outer products of the rows it labels.
 
-    Slice r holds ``rows[order[offsets[r]:offsets[r + 1]]]``, where
-    ``order`` is a permutation of the row indices.  Returns the (R, m)
-    means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice with
-    no rows gets zeros, and one with a single row a zero sum.
+    ``labels`` holds each row's slice index and ``boundaries`` the R+1
+    slice boundaries.  Refuses rows, responses and labels of different
+    lengths, and a response outside the closed interval of its slice,
+    which guards against pairing a partition with the wrong data.  Each
+    slice's rows are summed in ascending row order, as the stable
+    argsort of the labels lists them, so the moments of a sample do not
+    depend on how its partition was made.  Returns the (R,) counts, the
+    (R, m) means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice
+    with no rows gets zeros, and one with a single row a zero sum.
 
     OpenBLAS is held at one thread throughout
     (:data:`~ridgerec.core._one_blas_thread`).  When the rows hold at
@@ -265,12 +271,19 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
 
     The gather clips out-of-range indices instead of refusing them,
     because a checked gather into a given buffer copies through a buffer
-    of its own; a permutation of the row indices has none.
+    of its own; the argsort of the labels, a permutation of the row
+    indices, has none.
     """
-    n_slices, m = len(offsets) - 1, rows.shape[1]
+    if not len(rows) == len(responses) == len(labels):
+        raise ValueError("partition does not match sample set (different sample count)")
+    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
+        raise ValueError("partition does not match sample set (responses out of slice)")
+    counts = np.bincount(labels, minlength=len(boundaries) - 1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(labels, kind="stable")
+    n_slices, m = len(counts), rows.shape[1]
     means = np.zeros((n_slices, m))
     scatter = np.zeros((n_slices, m, m))
-    counts = np.diff(offsets)
     big = counts.max()
     todo, lock = iter(range(n_slices)), threading.Lock()
 
@@ -291,13 +304,13 @@ def slice_scatter(rows: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> t
                 scatter[r] = xs.T @ xs
 
     with _one_blas_thread as pinned:
-        fan_out = (pinned or m <= FAN_OUT_MAX_WIDTH) and offsets[-1] * m >= FAN_OUT_MIN_VALUES
+        fan_out = (pinned or m <= FAN_OUT_MAX_WIDTH) and len(rows) * m >= FAN_OUT_MIN_VALUES
         # No more workers than the largest slice fits into the rows, so the
         # buffers together hold at most N rows.
-        workers = min(_pool_width(), offsets[-1] // big) if fan_out else 1
+        workers = min(_pool_width(), len(rows) // big) if fan_out else 1
         with _cpu_pool(workers) as pool:
             list(pool.map(moments, [np.empty((big, m)) for _ in range(workers)]))
-    return means, scatter
+    return counts, means, scatter
 
 
 def map_slices(f, stack: np.ndarray) -> np.ndarray:
@@ -323,28 +336,6 @@ def map_slices(f, stack: np.ndarray) -> np.ndarray:
         with _cpu_pool(n_slices) as pool:
             list(pool.map(one, range(n_slices)))
     return out
-
-
-def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
-                  boundaries: np.ndarray) -> tuple:
-    """Each slice's count, mean and centered sum of outer products of the rows it labels.
-
-    ``labels`` holds each row's slice index and ``boundaries`` the R+1
-    slice boundaries.  Refuses rows, responses and labels of different
-    lengths, and a response outside the closed interval of its slice,
-    which guards against pairing a partition with the wrong data.  Each
-    slice's rows are summed in ascending row order, as the stable
-    argsort of the labels lists them, so the moments of a sample do not
-    depend on how its partition was made.  Returns the (R,) counts and
-    :func:`slice_scatter`'s means and sums.
-    """
-    if not len(rows) == len(responses) == len(labels):
-        raise ValueError("partition does not match sample set (different sample count)")
-    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
-        raise ValueError("partition does not match sample set (responses out of slice)")
-    counts = np.bincount(labels, minlength=len(boundaries) - 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return (counts, *slice_scatter(rows, np.argsort(labels, kind="stable"), offsets))
 
 
 def whitened_slice_stats(counts: np.ndarray, means: np.ndarray, scatter: np.ndarray,
@@ -373,6 +364,6 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     which refuses a partition of other responses) and then mapped
     through the set's standardizer (:func:`whitened_slice_stats`).
     """
-    counts, means, scatter = slice_moments(s.rows, s.outputs, partition.labels,
+    counts, means, scatter = slice_moments(s.inputs, s.outputs, partition.labels,
                                            partition.boundaries)
     return whitened_slice_stats(counts, means, scatter, s.standardizer)

@@ -287,9 +287,9 @@ def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
     array in chunks, and each chunk is evaluated while the next is drawn
     (:func:`stream_chunks`).  For the built-in models the rows are the
     bytes of one draw (:func:`~ridgerec.measures.draw`) and the responses
-    those of one evaluation.  The set keeps the rows, made read-only, and
-    the responses, and carries the measure's map, so its ``inputs`` are
-    whitened on first read.
+    those of one evaluation.  The set keeps the raw rows, made read-only,
+    as its ``inputs``, and the responses, and carries the measure's map,
+    which whitens them (:meth:`~ridgerec.core.Standardizer.whiten`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

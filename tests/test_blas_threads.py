@@ -134,6 +134,20 @@ class TestPin:
         assert seen == [1]
         assert two_threads() == 2
 
+    def test_whiten_runs_its_blas_at_one_thread(self, two_threads):
+        seen = []
+
+        class Watched(np.ndarray):
+            def __sub__(self, other):
+                seen.append(two_threads())
+                return np.asarray(self) - other
+
+        std = fit_standardizer(InputMeasure.gaussian([1.0, -2.0, 0.5], np.diag([1.0, 2.0, 3.0])))
+        rows = np.random.default_rng(3).standard_normal((50, 3)).view(Watched)
+        std.whiten(rows)
+        assert seen == [1]
+        assert two_threads() == 2
+
 
 def test_without_a_thread_call_nothing_is_held_and_wide_rows_take_one_worker(monkeypatch, cpus):
     monkeypatch.setattr(core, "_openblas_calls", lambda: None)
@@ -151,10 +165,11 @@ def test_without_a_thread_call_nothing_is_held_and_wide_rows_take_one_worker(mon
     with _one_blas_thread as pinned:
         assert not pinned
     rows = np.random.default_rng(2).standard_normal((400, 80))
-    offsets = np.array([0, 200, 400])
-    slicing.slice_scatter(rows, np.arange(400), offsets)
+    labels = (np.arange(400) % 2 * 2).astype(np.uint8)  # slice 1 of 3 empty
+    boundaries = np.arange(4) - 0.5
+    slicing.slice_moments(rows, labels.astype(float), labels, boundaries)
     slicing.map_slices(lambda a: a @ a, np.ones((2, 80, 80)))
-    slicing.slice_scatter(rows[:, :64].copy(), np.arange(400), offsets)
+    slicing.slice_moments(rows[:, :64].copy(), labels.astype(float), labels, boundaries)
     assert widths == [1, 2]  # the wide moments on one worker, no pooled products
 
 

@@ -67,7 +67,7 @@ class TestSampleCommand:
                    "--out", str(tmp_path)) == 0
         back = read_samples_csv(tmp_path / "samples.csv")
         s = generate_samples(get_test_function("hartmann"), 30, 4)
-        assert back.rows.tobytes() == s.rows.tobytes()
+        assert back.inputs.tobytes() == s.inputs.tobytes()
         assert back.outputs.tobytes() == s.outputs.tobytes()
         assert read_json(tmp_path / "samples.json")["standardized"] is False
 
@@ -97,7 +97,7 @@ class TestCsvRoundTrip:
             outputs=rng.standard_normal(40),
         )
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, s.rows, s.outputs)
+        write_samples_csv(path, s.inputs, s.outputs)
         back = read_samples_csv(path)
         np.testing.assert_array_equal(back.inputs, s.inputs)
         np.testing.assert_array_equal(back.outputs, s.outputs)
@@ -109,7 +109,7 @@ class TestCsvRoundTrip:
         x = np.array(self.SPECIAL).reshape(3, 2)
         s = SampleSet(inputs=x, outputs=np.array(self.SPECIAL[::-1][:3]))
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, s.rows, s.outputs)
+        write_samples_csv(path, s.inputs, s.outputs)
         rows = [",".join(f"{v:.17g}" for v in [*r, y]) for r, y in zip(x, s.outputs)]
         assert path.read_text() == "x1,x2,y\n" + "".join(r + "\n" for r in rows)
         back = read_samples_csv(path)
@@ -124,7 +124,7 @@ class TestCsvRoundTrip:
                       outputs=data.draw(arrays(np.float64, n, elements=finite)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.csv"
-            write_samples_csv(path, s.rows, s.outputs)
+            write_samples_csv(path, s.inputs, s.outputs)
             back = read_samples_csv(path)
         assert back.inputs.tobytes() == s.inputs.tobytes()
         assert back.outputs.tobytes() == s.outputs.tobytes()
@@ -162,7 +162,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "samples.csv"
         write_samples_csv(path, np.arange(12.0).reshape(4, 3), np.arange(4.0))
         back = read_samples_csv(path)
-        for a in (back.rows, back.outputs):
+        for a in (back.inputs, back.outputs):
             assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
         assert back.standardizer is None
 
@@ -221,7 +221,7 @@ class TestEstimateCommands:
         assert run("sir", "--input", str(csv), "--assume-standardized",
                    "--slices", "2", "--out", str(tmp_path)) == 0
         (s,) = estimated
-        assert s.rows is read[0].rows and s.outputs is read[0].outputs
+        assert s.inputs is read[0].inputs and s.outputs is read[0].outputs
         assert s.standardizer.is_identity
 
     def test_assume_standardized_refuses_raw_rows(self, tmp_path, capsys):
@@ -439,10 +439,11 @@ class TestEstimateCommands:
             assert read_json(out / "estimate.json")["slices_realized"] == 2
 
     def test_save_single_sample_fixed_slice_fails_after_partition(self, tmp_path, capsys):
-        """Only the partition shows a one-sample fixed-width slice: a runtime failure."""
+        """Only the partition shows a one-sample fixed-width slice; it is refused with
+        exit 2, as SIR's rank rule is after partitioning, and nothing is written."""
         out = tmp_path / "out"
         assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
-                   "--slice-scheme", "fixed", "--out", str(out)) == 1
+                   "--slice-scheme", "fixed", "--out", str(out)) == 2
         assert "smallest slice has 1" in capsys.readouterr().err
         assert not out.exists()
 

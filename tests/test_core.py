@@ -88,9 +88,9 @@ class TestSampleSet:
         x = {"C": x, "F": np.asfortranarray(x), "strided": x[:, :7]}[layout]
         s = SampleSet(inputs=x, outputs=np.zeros(len(x)))
         one_piece = core._freeze(x)
-        assert s.rows.tobytes("A") == one_piece.tobytes("A")
-        assert s.rows.strides == one_piece.strides
-        assert not s.rows.flags.writeable and s.rows.flags.owndata
+        assert s.inputs.tobytes("A") == one_piece.tobytes("A")
+        assert s.inputs.strides == one_piece.strides
+        assert not s.inputs.flags.writeable and s.inputs.flags.owndata
 
 
 class TestSymmetricSpectrum:

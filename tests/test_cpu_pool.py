@@ -2,7 +2,7 @@
 
 ``stream_chunks`` runs a job on each drawn chunk on a pool thread while the
 next is drawn, for ``generate_samples`` and both passes of a truth
-surrogate, and ``slice_scatter`` fans groups of slices out over the
+surrogate, and ``slice_moments`` fans groups of slices out over the
 pool.  Neither may change a bit of the result at any CPU count, leave a
 thread behind, or open a pool inside a pool thread.
 """
@@ -101,7 +101,7 @@ def test_generate_and_estimate_bytes_do_not_depend_on_the_cpu_count(case, cpus):
             assert threading.active_count() == threads
             est = estimate(s, n_slices, scheme, method, n_components)
             assert threading.active_count() == threads
-            results.append(s.rows.tobytes() + s.outputs.tobytes()
+            results.append(s.inputs.tobytes() + s.outputs.tobytes()
                            + est.spectrum.matrix.tobytes() + est.spectrum.eigenvectors.tobytes())
     assert results == results[:1] * len(CPU_COUNTS)
     if case == "two slices":
@@ -120,7 +120,7 @@ def test_samples_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk_rows):
     whole = generate_samples(fn, 1037, 4)
     monkeypatch.setattr(testfns, "CHUNK_ROWS", chunk_rows)
     chunked = generate_samples(fn, 1037, 4)
-    assert chunked.rows.tobytes() == whole.rows.tobytes()
+    assert chunked.inputs.tobytes() == whole.inputs.tobytes()
     assert chunked.outputs.tobytes() == whole.outputs.tobytes()
 
 

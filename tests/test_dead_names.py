@@ -19,9 +19,16 @@ Every parameter with a default in the package must be set: some call in
 default.  Calls are matched by the name they spell, so ``__init__`` is
 called as its class; tests do not count, since a value that only tests
 pass is an option the program never takes.
+
+Every ``:func:``, ``:data:``, ``:attr:``, ``:class:`` and ``:meth:``
+target in the package's docstrings and doc comments names something that
+exists: a module attribute, a class attribute or a dataclass field.
 """
 
 import ast
+import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,3 +191,28 @@ def test_no_parameter_default_is_the_only_value():
              if not any(_sets(call, name, position, default)
                         for call in by_callee.get(callee, []))}
     assert sorted(unset) == []
+
+
+ROLE = re.compile(r":(?:func|data|attr|class|meth):`~?(?:ridgerec\.)?([\w.]+)`")
+
+
+def _resolves(target: str, module) -> bool:
+    """Whether ``target`` names an attribute or dataclass field reached from ``module``,
+    or else from the package (``slicing.slice_stats``)."""
+    *path, last = target.split(".")
+    for obj in (module, importlib.import_module("ridgerec")):
+        for part in path:
+            obj = getattr(obj, part, None)
+        if hasattr(obj, last) or (dataclasses.is_dataclass(obj) and last in {
+                field.name for field in dataclasses.fields(obj)}):
+            return True
+    return False
+
+
+def test_every_docstring_reference_resolves():
+    unresolved = {f"{path.stem}: {target}"
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for target in ROLE.findall(path.read_text(encoding="utf-8"))
+                  if not _resolves(target, importlib.import_module(
+                      "ridgerec" if path.stem == "__init__" else f"ridgerec.{path.stem}"))}
+    assert sorted(unresolved) == []

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ridgerec.core import PSD_TOL, SampleSet
-from ridgerec.estimators import (RankError, estimate, make_partition, method_partition,
+from ridgerec.core import PSD_TOL, SampleSet, Standardizer
+from ridgerec.estimators import (SliceRuleError, estimate, make_partition, method_partition,
                                  save_matrix, sir_matrix)
 from ridgerec.measures import (InputMeasure, derive_seed, draw, fit_standardizer, generator,
                                standardize)
@@ -132,9 +132,9 @@ class TestEstimatePipeline:
     def test_sir_components_past_the_slice_count_refused(self):
         """The rank rule holds before partitioning and for the slices realized; SAVE is exempt."""
         s = standardized_set(np.eye(3)[np.arange(40) % 3], np.arange(40) % 2 * 1.0)
-        with pytest.raises(RankError, match="only 2 slices are asked for"):
+        with pytest.raises(SliceRuleError, match="only 2 slices are asked for"):
             estimate(s, 2, "equal-count", "sir", 3)
-        with pytest.raises(RankError, match="only 2 slices are realized"):
+        with pytest.raises(SliceRuleError, match="only 2 slices are realized"):
             method_partition(s.outputs, 5, "fixed", "sir", 3)
         assert method_partition(s.outputs, 5, "fixed", "sir", 2).n_slices == 2
         assert method_partition(s.outputs, 5, "fixed", "save", 3).n_slices == 2
@@ -289,11 +289,6 @@ class TestEstimatorProperties:
         assert a.tobytes() == b.tobytes()
 
 
-def whitened_rows(x, std):
-    """The whitened rows as ``SampleSet.inputs`` defines them."""
-    return (x - std.mean) @ std.whitening.T
-
-
 def ridge_response(z, seed):
     """A response with curvature and tilt along three random whitened directions."""
     frame = orthonormal_basis(generator(seed).standard_normal((z.shape[1], 3)))
@@ -325,7 +320,7 @@ class TestMomentWhitening:
         measure = PARITY_MEASURES[kind](rng)
         std = fit_standardizer(measure)
         x = draw(measure, 4000, seed=derive_seed(31, measure.dimension))
-        z = whitened_rows(x, std)
+        z = std.whiten(x)
         y = ridge_response(z, derive_seed(32, measure.dimension))
         lazy = standardize(SampleSet(inputs=x, outputs=y), std)
         eager = standardized_set(z, y)
@@ -350,7 +345,7 @@ class TestMomentWhitening:
         x = measure.mean + z0 @ std.inverse.T
         p = make_partition(y, r, scheme)
         lazy = MATRICES[method](slice_stats(standardize(SampleSet(inputs=x, outputs=y), std), p))
-        eager = MATRICES[method](slice_stats(standardized_set(whitened_rows(x, std), y), p))
+        eager = MATRICES[method](slice_stats(standardized_set(std.whiten(x), y), p))
         scale = max(1.0, np.max(np.abs(eager)))
         np.testing.assert_allclose(lazy, eager, rtol=0, atol=1e-12 * scale)
 
@@ -360,10 +355,10 @@ class TestMomentWhitening:
         ranks = np.argsort(np.argsort(x[:, 0])).astype(float)  # even fixed-width slices
         s = standardize(SampleSet(inputs=x, outputs=ranks), fit_standardizer(measure))
 
-        def refuse(self):
-            raise AssertionError("the estimate path read the whitened rows")
+        def refuse(self, rows):
+            raise AssertionError("the estimate path whitened the rows")
 
-        monkeypatch.setattr(SampleSet, "inputs", property(refuse))
+        monkeypatch.setattr(Standardizer, "whiten", refuse)
         for method in MATRICES:
             for scheme in SCHEMES:
                 estimate(s, 4, scheme, method, 2)
@@ -374,7 +369,7 @@ class TestMomentWhitening:
         std = fit_standardizer(measure)
         assert not std.is_identity
         x = draw(measure, 3000, seed=36)
-        s = standardize(SampleSet(inputs=x, outputs=ridge_response(whitened_rows(x, std), 37)),
+        s = standardize(SampleSet(inputs=x, outputs=ridge_response(std.whiten(x), 37)),
                         std)
         jobs = [(method, scheme) for method in MATRICES for scheme in SCHEMES] * 4
 

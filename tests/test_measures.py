@@ -151,9 +151,10 @@ class TestStandardizer:
         for n in (1_000, 100_000):
             x = draw(measure, n, seed=33)
             s = standardize(SampleSet(inputs=x, outputs=np.zeros(n)), std)
-            cov = np.cov(s.inputs, rowvar=False)
+            z = s.standardizer.whiten(s.inputs)
+            cov = np.cov(z, rowvar=False)
             errs[n] = max(
-                float(np.max(np.abs(s.inputs.mean(axis=0)))),
+                float(np.max(np.abs(z.mean(axis=0)))),
                 float(np.max(np.abs(cov - np.eye(3)))),
             )
         assert errs[100_000] < errs[1_000]
@@ -165,7 +166,7 @@ class TestStandardize:
         std = fit_standardizer(InputMeasure.gaussian([2.0], [[4.0]]))
         s = SampleSet(inputs=[[4.0]], outputs=[7.0])
         z = standardize(s, std)
-        assert z.inputs[0, 0] == pytest.approx(1.0)
+        assert std.whiten(z.inputs)[0, 0] == pytest.approx(1.0)
         assert z.outputs[0] == 7.0
         assert z.standardized
 
@@ -177,7 +178,7 @@ class TestStandardize:
         x = draw(measure, 50, seed=3)
         s = SampleSet(inputs=x, outputs=np.arange(50.0))
         z = standardize(s, std)
-        np.testing.assert_allclose(z.inputs @ std.inverse.T + std.mean, x, atol=1e-12)
+        np.testing.assert_allclose(std.whiten(z.inputs) @ std.inverse.T + std.mean, x, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         std = fit_standardizer(InputMeasure.standard_gaussian(3))
@@ -190,7 +191,7 @@ class TestStandardize:
         std = fit_standardizer(InputMeasure.gaussian([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]))
         s = SampleSet(inputs=np.arange(8.0).reshape(4, 2), outputs=np.arange(4.0))
         z = standardize(s, std)
-        assert np.shares_memory(z.rows, s.rows)
+        assert np.shares_memory(z.inputs, s.inputs)
         assert np.shares_memory(z.outputs, s.outputs)
         assert z.standardizer is std
 
@@ -199,21 +200,28 @@ class TestStandardize:
                                                  [0.0, 0.2, 3.0]]),
         InputMeasure.uniform_box([0.0, -5.0, 2.0], [1.0, 5.0, 2.5]),
     ], ids=["gaussian", "uniform-box"])
-    def test_inputs_are_the_whitened_rows_bit_for_bit(self, measure):
+    def test_whiten_gives_the_whitened_rows_bit_for_bit(self, measure):
+        """``whiten`` is ``(x - mean) @ W.T``, read-only, and the rows themselves under
+        both identity maps; a standardized set's ``inputs`` are the frozen copy of ``x``."""
         std = fit_standardizer(measure)
         x = draw(measure, 300, seed=5)
         z = standardize(SampleSet(inputs=x, outputs=np.zeros(300)), std)
-        assert z.inputs.tobytes() == ((x - std.mean) @ std.whitening.T).tobytes()
-        assert not z.inputs.flags.writeable
-        assert z.inputs is z.inputs
+        assert z.inputs.tobytes() == x.tobytes()
+        assert not z.inputs.flags.writeable and not np.shares_memory(z.inputs, x)
+        whitened = std.whiten(z.inputs)
+        assert whitened.tobytes() == ((x - std.mean) @ std.whitening.T).tobytes()
+        assert not whitened.flags.writeable
+        for identity in (Standardizer.identity(3),
+                         fit_standardizer(InputMeasure.standard_gaussian(3))):
+            assert identity.whiten(z.inputs) is z.inputs
 
     def test_identity_inputs_are_the_rows(self):
         raw = SampleSet(inputs=np.ones((3, 2)), outputs=np.zeros(3))
-        assert raw.standardizer is None and raw.inputs is raw.rows
+        assert raw.standardizer is None
         for std in (Standardizer.identity(2), fit_standardizer(InputMeasure.standard_gaussian(2))):
             z = standardize(raw, std)
             assert z.standardizer.is_identity
-            assert z.inputs is raw.rows
+            assert z.inputs is raw.inputs and std.whiten(z.inputs) is raw.inputs
 
     @pytest.mark.parametrize("standardizer", [
         Standardizer.identity(5),
@@ -255,8 +263,8 @@ class TestWhiteningDefect:
         for n, seeds in [(10, 40), (100, 40), (1000, 20), (10_000, 10), (100_000, 2),
                          (1_000_000, 1)]:
             for k in range(seeds):
-                worst = max(worst, whitening_defect(
-                    generate_samples(fn, n, derive_seed(63, n, k)).inputs)[0])
+                s = generate_samples(fn, n, derive_seed(63, n, k))
+                worst = max(worst, whitening_defect(s.standardizer.whiten(s.inputs))[0])
         assert worst < WHITENING_DEFECT_LIMIT / 2
 
 

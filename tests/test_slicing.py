@@ -11,7 +11,7 @@ from ridgerec.slicing import (
     default_slice_count,
     partition_equal_count,
     partition_fixed,
-    slice_scatter,
+    slice_moments,
     slice_stats,
 )
 
@@ -465,12 +465,13 @@ class TestSliceStats:
             slice_stats(s, p)
 
 
-def per_slice_scatter(rows, order, offsets):
-    """The slice moments one slice at a time, each gathered afresh: the kernel's reference."""
-    n_slices, m = len(offsets) - 1, rows.shape[1]
+def per_slice_moments(rows, labels, n_slices):
+    """The slice moments one slice at a time, each slice's rows taken afresh in
+    ascending row order: the kernel's reference."""
+    m = rows.shape[1]
     means, scatter = np.zeros((n_slices, m)), np.zeros((n_slices, m, m))
     for r in range(n_slices):
-        xs = rows[order[offsets[r]:offsets[r + 1]]]
+        xs = rows[np.flatnonzero(labels == r)]
         if len(xs):
             means[r] = xs.mean(axis=0)
         if len(xs) > 1:
@@ -479,19 +480,21 @@ def per_slice_scatter(rows, order, offsets):
     return means, scatter
 
 
-class TestSliceScatter:
-    @given(st.lists(st.sampled_from([0, 1, 2, 3, 17, 64]), min_size=1, max_size=12).filter(any),
-           st.integers(1, 80), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_equals_the_per_slice_reference_bit_for_bit(self, counts, m, cpus, seed):
-        """Any CPU count; surrogate chunks hold empty slices."""
+class TestSliceMoments:
+    @given(st.integers(1, 12), st.integers(1, 400), st.integers(1, 80), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_per_slice_reference_bit_for_bit(self, n_slices, n, m, cpus, seed):
+        """Any CPU count; the labels leave some slices empty, as surrogate chunks do."""
         rng = np.random.default_rng(seed)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        rows = rng.standard_normal((offsets[-1], m)) * rng.uniform(0.5, 4.0, m)
-        order = rng.permutation(offsets[-1])
+        held = rng.choice(n_slices, size=rng.integers(1, n_slices + 1), replace=False)
+        labels = rng.choice(held, n).astype(np.min_scalar_type(n_slices - 1))
+        rows = rng.standard_normal((n, m)) * rng.uniform(0.5, 4.0, m)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_available_cpus", lambda: cpus)
             patch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
-            means, scatter = slice_scatter(rows, order, offsets)
-        ref_means, ref_scatter = per_slice_scatter(rows, order, offsets)
+            counts, means, scatter = slice_moments(rows, labels.astype(float), labels,
+                                                   np.arange(n_slices + 1) - 0.5)
+        ref_means, ref_scatter = per_slice_moments(rows, labels, n_slices)
+        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=n_slices))
         assert means.tobytes() == ref_means.tobytes()
         assert scatter.tobytes() == ref_scatter.tobytes()

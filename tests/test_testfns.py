@@ -241,16 +241,16 @@ class TestGenerateSamples:
         """Whitening the stored inputs must not re-evaluate the response."""
         fn = get_test_function("hartmann")
         s = generate_samples(fn, 50, seed=6)
-        np.testing.assert_array_equal(s.outputs, fn.evaluator(s.rows))
-        assert not np.allclose(s.rows, s.inputs)
+        np.testing.assert_array_equal(s.outputs, fn.evaluator(s.inputs))
+        assert not np.allclose(s.inputs, s.standardizer.whiten(s.inputs))
 
     def test_quad1_draws_already_white(self):
         s = generate_samples(get_test_function("quad1"), 30, seed=2)
-        np.testing.assert_allclose(s.rows, s.inputs, atol=1e-14)
+        np.testing.assert_allclose(s.inputs, s.standardizer.whiten(s.inputs), atol=1e-14)
 
-    @pytest.mark.parametrize("inputs_read", [False, True])
-    def test_rows_are_the_draw_made_read_only(self, monkeypatch, inputs_read):
-        """Whitening ``inputs`` on first read leaves the rows the frozen draw."""
+    @pytest.mark.parametrize("whitened", [False, True])
+    def test_rows_are_the_draw_made_read_only(self, monkeypatch, whitened):
+        """The stored ``inputs`` are the frozen draw, also after they are whitened."""
         draws = []
 
         def recording_draw(*args, **kwargs):
@@ -260,15 +260,16 @@ class TestGenerateSamples:
         monkeypatch.setattr(ridgerec.testfns, "draw", recording_draw)
         fn = get_test_function("hartmann")
         s = generate_samples(fn, 40, seed=3)
-        if inputs_read:
-            assert not s.inputs.flags.writeable
-            assert not np.allclose(s.inputs, draws[0])
-        assert len(draws) == 1 and np.shares_memory(s.rows, draws[0])
-        np.testing.assert_array_equal(s.rows, draws[0])
+        if whitened:
+            z = s.standardizer.whiten(s.inputs)
+            assert not z.flags.writeable
+            assert not np.allclose(z, draws[0])
+        assert len(draws) == 1 and np.shares_memory(s.inputs, draws[0])
+        np.testing.assert_array_equal(s.inputs, draws[0])
         std = fit_standardizer(fn.measure)
         np.testing.assert_array_equal(s.standardizer.mean, std.mean)
         np.testing.assert_array_equal(s.standardizer.whitening, std.whitening)
-        assert not s.rows.flags.writeable and not s.outputs.flags.writeable
+        assert not s.inputs.flags.writeable and not s.outputs.flags.writeable
 
     def test_evaluator_output_is_copied(self):
         fn = get_test_function("quad1")
