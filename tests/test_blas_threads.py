@@ -20,10 +20,11 @@ import pytest
 
 import ridgerec
 from ridgerec import core, slicing
-from ridgerec.cli import write_samples_csv
+from ridgerec.cli import CSV_BLOCK_VALUES, write_samples_csv
 from ridgerec.core import SampleSet, _one_blas_thread
 from ridgerec.estimators import estimate
 from ridgerec.measures import InputMeasure, fit_standardizer, standardize
+from ridgerec.testfns import CHUNK_ROWS
 
 CALLS = core._openblas_calls()
 needs_openblas = pytest.mark.skipif(CALLS is None, reason="no OpenBLAS thread call found")
@@ -173,8 +174,8 @@ def test_without_a_thread_call_nothing_is_held_and_wide_rows_take_one_worker(mon
     assert widths == [1, 2]  # the wide moments on one worker, no pooled products
 
 
-# Writes the artifacts of two library estimates and one ingest through the
-# command line into the directory given as argv[1].
+# Writes the artifacts of two library estimates, one raw sample and one ingest
+# through the command line into the directory given as argv[2].
 CHILD = r"""
 import sys
 from pathlib import Path
@@ -198,6 +199,9 @@ for m in (100, 200):
         np.savez(out / f"{method}{m}.npz", matrix=est.spectrum.matrix,
                  eigenvalues=est.spectrum.eigenvalues, eigenvectors=est.spectrum.eigenvectors,
                  labels=est.partition.labels, projections=plot.projections)
+if main(["sample", "--function", "hartmann", "--n", "40001", "--raw", "--seed", "5",
+         "--out", str(out / "sample")]):
+    sys.exit(1)
 sys.exit(main(["save", "--input", str(here / "samples.csv"), "--config",
                str(here / "config.json"), "--slices", "10", "--dim", "2",
                "--out", str(out / "cli")]))
@@ -243,6 +247,10 @@ def test_wide_artifacts_do_not_depend_on_the_blas_threads_or_the_cpus(tmp_path):
                          for p in sorted(out.rglob("*")) if p.is_file()}
     first = digests["1 BLAS thread"]
     assert sorted(first) == ["cli/eigvecs.csv", "cli/estimate.json", "cli/summary_plot.csv",
+                             "sample/samples.csv", "sample/samples.json",
                              "save100.npz", "save200.npz", "sir100.npz", "sir200.npz"]
+    # The sample spans three draw chunks and many CSV blocks.
+    assert first["sample/samples.csv"].count(b"\n") == 40_002
+    assert 40_001 > max(2 * CHUNK_ROWS, 3 * (CSV_BLOCK_VALUES // 6))
     for name, files in digests.items():
         assert files == first, f"{name}: {[f for f in files if files[f] != first[f]]} differ"

@@ -1,13 +1,17 @@
 """Command-line artifacts, exit codes, and determinism."""
 
 import io
+import itertools
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ridgerec
-from ridgerec.cli import CSV_BLOCK_ROWS, _write_csv, main, read_samples_csv, write_samples_csv
+from ridgerec import cli
+from ridgerec.cli import CSV_BLOCK_VALUES, _write_csv, main, read_samples_csv, write_samples_csv
 from ridgerec.core import METHODS, SampleSet
 from ridgerec.estimators import estimate
 from ridgerec.testfns import generate_samples, get_test_function
@@ -141,13 +146,90 @@ class TestCsvRoundTrip:
         _write_csv(path, header, table)
         assert path.read_bytes() == self._savetxt_bytes(header, table)
 
-    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (CSV_BLOCK_ROWS, 3),
-                                       (2 * CSV_BLOCK_ROWS + 1, 3)])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (CSV_BLOCK_VALUES // 3, 3),
+                                       (2 * (CSV_BLOCK_VALUES // 3) + 1, 3)])
     def test_blocks_give_the_savetxt_bytes(self, tmp_path, shape):
         """Empty, 1x1, one-block and past-a-block tables, with every special value."""
         special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e-310, 0.1]
         table = np.resize(np.array(special + [np.pi, -2.5, 1e22]), shape)
         self._assert_savetxt_bytes(tmp_path / "t.csv", table)
+
+    @staticmethod
+    def _adversarial_values() -> np.ndarray:
+        """Values where a vectorized %.17g is most likely to slip, and random bit patterns."""
+        rng = np.random.default_rng(19)
+        powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+        # A double odd / 2^(17 - k) in [10^k, 10^(k+1)) has exactly 18
+        # significant digits, the last a 5: an exact decimal tie at digit 18.
+        # Such odd numerators exist for k in [-7, 15].
+        ties = []
+        for k in range(-7, 16):
+            scale = 2 ** (17 - k)
+            low, high = Fraction(10) ** k * scale, min(Fraction(10) ** (k + 1) * scale, 2**53)
+            for _ in range(10):
+                ties.append((int(rng.integers(math.ceil(low), math.floor(high))) | 1) / scale)
+        assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in ties)
+        edges = np.array([1e-290, 1e290, 2.0**53, 2.0**63 - 1024, 2.2250738585072014e-308])
+        special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308])
+        values = np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            rng.integers(2**53, 2**63, 300, dtype=np.int64).astype(np.float64),
+            ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
+            edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), special,
+            rng.integers(1, 2**52, 50, dtype=np.int64).view(np.float64),  # subnormals
+            rng.integers(0, 2**64, 1500, dtype=np.uint64).view(np.float64),
+        ])
+        return np.concatenate([values, -values])
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "B-1", "B", "B+1", "2B+1"])
+    def test_adversarial_values_give_the_savetxt_bytes(self, tmp_path, cols, blocks, extra):
+        """Powers of ten and their neighbours, integers past 2^53, exact ties at digit 18,
+        subnormals, signed zeros, nan, inf, the edges of the kernel's own range and random
+        bits give the savetxt bytes, in tables of one block (B rows) or a row more or less."""
+        values = self._adversarial_values()
+        n = blocks * (CSV_BLOCK_VALUES // cols) + extra
+        starts = range(0, len(values), n * cols) if n > 1 else range(0, len(values), 997)
+        for start in starts:
+            table = np.resize(np.roll(values, -start), (n, cols))
+            self._assert_savetxt_bytes(tmp_path / "t.csv", table)
+
+    @pytest.mark.parametrize("bias", [-1e-9, 1e-9])
+    def test_a_log10_one_off_gives_the_savetxt_bytes(self, tmp_path, monkeypatch, bias):
+        """Where log10 rounds across a power of ten, k is one off either way, and the
+        scaled value misses [10^16, 10^17): Python prints such values."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+        powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+        table = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                                np.random.default_rng(3).standard_normal(600)]).reshape(-1, 3)
+        self._assert_savetxt_bytes(tmp_path / "t.csv", table)
+
+    def test_the_scaling_table_is_within_2_to_the_105_of_each_power(self):
+        t = cli._text_tables()
+        for p, (hi, top, rest, lo) in zip(cli._POWERS, t.powers.T.tolist()):
+            exact = Fraction(10) ** p
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**105, p
+            assert Fraction(top) + Fraction(rest) == Fraction(hi), p
+            significand = Fraction(top).numerator
+            assert (significand // (significand & -significand)).bit_length() <= 26, p
+
+    def test_a_failed_block_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        kernel, calls = cli._csv_text, itertools.count()
+
+        def failing(table, work):
+            if next(calls) == 3:
+                raise RuntimeError("block 3 failed")
+            return kernel(table, work)
+
+        monkeypatch.setattr(cli, "_csv_text", failing)
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            _write_csv(path, ["a", "b"], np.ones((4 * CSV_BLOCK_VALUES, 2)))
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @given(data=st.data())
     def test_any_table_gives_the_savetxt_bytes(self, data):
@@ -577,7 +659,7 @@ class TestConvergeCommand:
         assert run("converge", "--function", "quad1", "--method", "sir",
                    "--sizes", "100,200", "--trials", "1", "--slices", "4",
                    "--truth-size", "2000", "--out", str(tmp_path)) == 0
-        assert "fewer than 3 sizes" in capsys.readouterr().out
+        assert "fewer than 3 sizes" in capsys.readouterr().err
         report = read_json(tmp_path / "study.json")
         assert report["subspace_slope"] is None
 
