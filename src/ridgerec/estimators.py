@@ -24,6 +24,7 @@ from ridgerec.core import METHODS, SampleSet, SdrEstimate, _one_blas_thread
 from ridgerec.slicing import (
     SCHEMES,
     SlicePartition,
+    SliceRuleError,
     SliceStats,
     map_slices,
     partition_equal_count,
@@ -42,17 +43,6 @@ def save_matrix(stats: SliceStats) -> np.ndarray:
     """Weighted squares of the covariance defects: (1/N) sum_r N_r (I - Sigma_r)^2."""
     d = np.eye(stats.dimension) - stats.covariances
     return np.tensordot(stats.counts, map_slices(lambda a: a @ a, d), axes=1) / stats.counts.sum()
-
-
-class SliceRuleError(ValueError):
-    """A partition that the method cannot use; the command line exits 2 on it.
-
-    Two rules.  SIR takes no more directions than slices: its matrix is a
-    weighted sum of one outer product per slice, so its rank is at most
-    the slice count and the directions past it are round-off.  SAVE takes
-    no slice of one sample: that slice's covariance is zero and adds a
-    full-weight I term.
-    """
 
 
 def _check_sir_rank(n_components: int, n_slices: int, which: str) -> None:

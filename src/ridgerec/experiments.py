@@ -4,9 +4,10 @@ The population estimator matrices are not available in closed form, so a
 very-high-N run (the "truth surrogate") stands in for them.  It is built
 in two streamed passes over the chunks in which ``generate_samples``
 draws, the second rerunning the seed, so it never holds the N x m draw:
-memory is O(N + R m^2) plus two chunk buffers.  Surrogates are cached on
-disk under a key that is stored in the file and checked on load, and the
-cache write is atomic so readers never observe a partial file.
+memory is O(N + R m^2) plus one chunk buffer per pool thread.
+Surrogates are cached on disk under a key that is stored in the file and
+checked on load, and the cache write is atomic so readers never observe
+a partial file.
 
 A convergence study runs T independent trials at each sample size with
 seeds derived from a master seed, records the normalized eigenvalue error
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ridgerec import __version__, testfns
+from ridgerec import __version__, measures
 from ridgerec.core import (
     SampleSet,
     SdrEstimate,
@@ -57,10 +58,12 @@ from ridgerec.testfns import (
 
 #: Layout and summation order of a cached surrogate file, part of its key.
 #: Format 2 took slice moments on raw rows and whitened them afterwards.
-#: Format 3 streamed the rows in chunks of ``testfns.CHUNK_ROWS`` and
+#: Format 3 streamed the rows in chunks of ``CHUNK_ROWS`` rows and
 #: merged each chunk's slice moments in chunk order.  Format 4 cuts the
 #: chunks as ``generate_samples`` does, the last one taking the remainder.
-SURROGATE_FORMAT = 4
+#: Format 5 draws each block of ``CHUNK_ROWS`` rows from a stream
+#: of its own (:func:`~ridgerec.measures.draw`).
+SURROGATE_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def truth_surrogate(cfg: StudyConfig, cache_dir: Path) -> SymmetricSpectrum:
     fn = get_test_function(cfg.function)
     probe = generate_samples(fn, 64, 0)
     fields = (cfg.function, cfg.method, cfg.n_slices, cfg.scheme, cfg.truth_size, cfg.truth_seed)
-    layout = (SURROGATE_FORMAT, testfns.CHUNK_ROWS, __version__, fields)
+    layout = (SURROGATE_FORMAT, measures.CHUNK_ROWS, __version__, fields)
     key = hashlib.sha256(repr(layout).encode()
                          + probe.standardizer.whiten(probe.inputs).tobytes()
                          + probe.outputs.tobytes()).hexdigest()
@@ -194,21 +197,21 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     """The spectrum of ``cfg``'s estimate on ``cfg.truth_size`` draws of ``fn``, streamed.
 
     The draw is the one :func:`~ridgerec.testfns.generate_samples` makes
-    with ``cfg.truth_seed``, in the same chunks
-    (:func:`~ridgerec.testfns.stream_chunks`), which reuse two buffers
-    here.  Pass 1 keeps only the responses and partitions them as
-    :func:`~ridgerec.estimators.estimate` does.  Pass 2 reruns the seed
-    and, for each chunk in row order, evaluates it again, takes each
-    slice's count, mean and centered sum of outer products of the raw
-    rows with :func:`~ridgerec.slicing.slice_moments`, as ``estimate``
-    does (which checks that the responses lie in their slices), and
-    merges them into the running moments with the pairwise update of
-    Chan, Golub & LeVeque (1979).  A one-chunk build therefore equals
+    with ``cfg.truth_seed``, in the same chunks, each drawn and evaluated
+    on the CPU pool (:func:`~ridgerec.testfns.stream_chunks`) into a
+    buffer of its own.  Pass 1 keeps only the responses, which its chunks
+    write to disjoint slices of one array in any order, and partitions
+    them as :func:`~ridgerec.estimators.estimate` does.  Pass 2 reruns
+    the seed; on the pool, each chunk is evaluated again and each slice's
+    count, mean and centered sum of outer products of the raw rows taken
+    with :func:`~ridgerec.slicing.slice_moments`, as ``estimate`` does
+    (which checks that the responses lie in their slices).  The calling
+    thread merges them into the running moments in row order with the
+    pairwise update of Chan, Golub & LeVeque (1979), so the result does
+    not depend on the CPU count, and a one-chunk build equals
     ``estimate`` of the whole draw bit for bit.  Each pass evaluates
     through the helper that refuses an output that is not one value per
-    row.  The chunk jobs run one at a time, in row order, so the result
-    does not depend on the CPU count.  The R merged moments are whitened
-    at the end.
+    row.  The R merged moments are whitened at the end.
     """
     n, m = cfg.truth_size, fn.dimension
     y = np.empty(n)
@@ -219,11 +222,16 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     r = partition.n_slices
     counts, means, scatter = np.zeros(r, dtype=np.intp), np.zeros((r, m)), np.zeros((r, m, m))
 
-    def merge(a: int, x: np.ndarray) -> None:
-        nonlocal counts, means, scatter
+    def moments(a: int, x: np.ndarray) -> tuple:
         out = np.empty(len(x))
         _evaluate_into(fn.evaluator, x, out)
-        c, mu, sc = slice_moments(x, out, partition.labels[a:a + len(x)], partition.boundaries)
+        labels = partition.labels[a:a + len(x)]
+        return slice_moments(x, out, labels, partition.boundaries,
+                             np.bincount(labels, minlength=r))
+
+    def merge(chunk: tuple) -> None:
+        nonlocal counts, means, scatter
+        c, mu, sc = chunk
         total = counts + c
         share = np.divide(c, total, out=np.zeros(r), where=c > 0)
         delta = mu - means
@@ -232,7 +240,7 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
         scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
         counts = total
 
-    stream_chunks(fn.measure, n, cfg.truth_seed, merge)
+    stream_chunks(fn.measure, n, cfg.truth_seed, moments, merge=merge)
     stats = whitened_slice_stats(counts, means, scatter, fit_standardizer(fn.measure))
     return estimate_from_stats(stats, partition, cfg.method, cfg.n_components).spectrum
 

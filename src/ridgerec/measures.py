@@ -3,8 +3,10 @@
 The estimators in this package assume inputs with zero mean and identity
 covariance, so every supported measure comes with an exact standardizer
 built from its analytic moments.  Sampling uses numpy's counter-based
-Philox generator: for a fixed (measure, N, seed) the draw is reproducible
-across platforms and independent of how the work is batched.
+Philox generator, one stream per block of ``CHUNK_ROWS`` rows: block k
+of a seed's sample comes from ``Philox(key=seed).jumped(k)``, so any
+thread may draw any block, and for a fixed (measure, N, seed) the draw
+is reproducible across platforms and CPU counts.
 
 Trial seeds for repeated experiments are derived from a master seed with
 :func:`derive_seed`, a splitmix64-based hash, so substreams are decorrelated
@@ -14,7 +16,7 @@ without any shared-state bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -50,6 +52,18 @@ def derive_seed(master: int, *parts: int) -> int:
 def generator(seed: int) -> np.random.Generator:
     """Counter-based generator for reproducible, platform-stable sampling."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+
+
+#: Rows per block of a sample (:func:`draw`).  Block k of a seed's sample
+#: is drawn from a Philox stream of its own, so this size is part of the
+#: stream's definition: another size gives other samples past its first
+#: block.  Samples are also evaluated in chunks of this many rows
+#: (:func:`~ridgerec.testfns.stream_chunks`), and a truth surrogate sums
+#: its slice moments in that order, so it is part of the surrogate cache
+#: key.  It is a power of two, so a chunk's rows fall into the blocks of
+#: BLAS's matrix-vector kernels as they do in one evaluation, and the
+#: built-in models' chunked responses are the bytes of one evaluation.
+CHUNK_ROWS = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -109,42 +123,54 @@ class InputMeasure:
                    upper=_freeze(upper))
 
 
-def draw(measure: InputMeasure, n_samples: int, seed: Union[int, np.random.Generator],
-         out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw ``n_samples`` i.i.d. inputs; returns an (N, m) array, ``out`` when one is given.
+def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndarray] = None,
+         first_row: int = 0) -> np.ndarray:
+    """Draw ``n_samples`` i.i.d. inputs, rows ``first_row`` on of the seed's sample; returns
+    an (N, m) array, ``out`` when one is given.
 
-    ``seed`` is an integer seed or a generator whose stream to continue;
-    ``out``, if given, is a C-contiguous float64 (N, m) array to draw
-    into.  The stream is row-major: sample 0 is drawn completely before
-    sample 1, so prefixes of a larger draw match smaller draws with the
-    same seed.
+    A seed's sample is drawn in blocks of ``CHUNK_ROWS`` rows: block k,
+    from row k ``CHUNK_ROWS`` on, is drawn row-major from a stream of its
+    own, ``Philox(key=seed).jumped(k)``, 2^128 draws from its neighbours.
+    Block 0 is the stream of :func:`generator`.  A draw therefore starts
+    any block by itself, on any thread, so ``first_row`` must be a
+    multiple of ``CHUNK_ROWS``; and a smaller draw is a prefix of a
+    larger one with the same seed, since only its last block is cut
+    short.  ``out``, if given, is a C-contiguous float64 (N, m) array to
+    draw into.
 
-    Chunks drawn in sequence from one generator are the rows of one draw
-    of their total size: bit for bit for the standard Gaussian, the
-    uniform box and a Gaussian with diagonal covariance.  A dense Cholesky
-    factor is applied by a matrix product whose rounding may depend on a
-    row's place in the call, so there they agree to a few ulps.
+    Drawn in pieces that start at block boundaries, a sample has the
+    bytes of one draw for the standard Gaussian, the uniform box and a
+    Gaussian with diagonal covariance.  A dense Cholesky factor is
+    applied per block by a matrix product whose rounding may depend on a
+    row's place in the block: there a block cut short agrees with the
+    whole block to a few ulps, and every other block bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if first_row < 0 or first_row % CHUNK_ROWS:
+        raise ValueError(f"first_row {first_row} is not a multiple of CHUNK_ROWS ({CHUNK_ROWS})")
     m = measure.dimension
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     if out is None:
         out = np.empty((n_samples, m))
     elif out.shape != (n_samples, m):
         raise ValueError(f"out has shape {out.shape}, not ({n_samples}, {m})")
-    if measure.kind == "standard-gaussian":
-        rng.standard_normal(out=out)
-    elif measure.kind == "gaussian":
+    if measure.kind == "gaussian":
         L = np.linalg.cholesky(measure.cov)
-        np.matmul(rng.standard_normal((n_samples, m)), L.T, out=out)
-        out += measure.mean
-    elif measure.kind == "uniform-box":
-        rng.random(out=out)
-        out *= measure.upper - measure.lower
-        out += measure.lower
-    else:  # pragma: no cover - constructors prevent this
-        raise ValueError(f"unknown measure kind {measure.kind!r}")
+    streams = np.random.Philox(key=seed & _MASK64)
+    for a in range(0, n_samples, CHUNK_ROWS):
+        rng = np.random.Generator(streams.jumped((first_row + a) // CHUNK_ROWS))
+        block = out[a:a + CHUNK_ROWS]
+        if measure.kind == "standard-gaussian":
+            rng.standard_normal(out=block)
+        elif measure.kind == "gaussian":
+            np.matmul(rng.standard_normal(block.shape), L.T, out=block)
+            block += measure.mean
+        elif measure.kind == "uniform-box":
+            rng.random(out=block)
+            block *= measure.upper - measure.lower
+            block += measure.lower
+        else:  # pragma: no cover - constructors prevent this
+            raise ValueError(f"unknown measure kind {measure.kind!r}")
     return out
 
 

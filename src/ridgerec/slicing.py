@@ -61,6 +61,20 @@ FAN_OUT_MIN_VALUES = 1 << 20
 PRODUCT_FAN_OUT_MIN = 1 << 24
 
 
+class SliceRuleError(ValueError):
+    """A partition that the scheme cannot make or the method cannot use; the command
+    line exits 2 on it.
+
+    Three rules.  Fixed-width slices need a response range whose width
+    y_max - y_min is a finite double: the equal-width boundaries are cut
+    from it.  SIR takes no more directions than slices: its matrix is a
+    weighted sum of one outer product per slice, so its rank is at most
+    the slice count and the directions past it are round-off.  SAVE takes
+    no slice of one sample: that slice's covariance is zero and adds a
+    full-weight I term.
+    """
+
+
 @dataclass(frozen=True)
 class SlicePartition:
     """R response intervals and the slice that holds each sample.
@@ -175,11 +189,20 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
 
     The returned partition may hold fewer than ``n_slices`` slices when
     some intervals catch no samples; a constant response gives one.
+    Responses whose range y_max - y_min overflows a double are refused
+    (:class:`SliceRuleError`).
     """
     y = _as_response_vector(outputs)
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    bounds = np.linspace(y.min(), y.max(), n_slices + 1)
+    lo, hi = y.min(), y.max()
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.isfinite(width):
+        raise SliceRuleError(f"fixed-width slices need a response range that a double holds, "
+                             f"but y_max - y_min = {float(hi)!r} - ({float(lo)!r}) overflows; "
+                             f"use equal-count slices or rescale the responses")
+    bounds = np.linspace(lo, hi, n_slices + 1)
     # A response equal to an interior boundary counts as below it.
     idx = np.searchsorted(bounds[1:-1], y, side="left")
     counts = np.bincount(idx, minlength=n_slices)
@@ -239,13 +262,16 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
 
 
 def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
-                  boundaries: np.ndarray) -> tuple:
+                  boundaries: np.ndarray, counts: np.ndarray) -> tuple:
     """Each slice's count, mean and centered sum of outer products of the rows it labels.
 
-    ``labels`` holds each row's slice index and ``boundaries`` the R+1
-    slice boundaries.  Refuses rows, responses and labels of different
-    lengths, and a response outside the closed interval of its slice,
-    which guards against pairing a partition with the wrong data.  Each
+    ``labels`` holds each row's slice index, ``boundaries`` the R+1
+    slice boundaries and ``counts`` the R counts of the labels, such as
+    ``np.bincount(labels, minlength=R)`` or a partition's ``counts``,
+    which are not taken again here.  Refuses rows, responses and labels
+    of different lengths, counts that do not add up to them, and a
+    response outside the closed interval of its slice, which guards
+    against pairing a partition with the wrong data.  Each
     slice's rows are summed in ascending row order, as the stable
     argsort of the labels lists them, so the moments of a sample do not
     depend on how its partition was made.  Returns the (R,) counts, the
@@ -276,9 +302,10 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     """
     if not len(rows) == len(responses) == len(labels):
         raise ValueError("partition does not match sample set (different sample count)")
+    if len(counts) != len(boundaries) - 1 or counts.sum() != len(labels):
+        raise ValueError("slice counts do not match the labels")
     if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
         raise ValueError("partition does not match sample set (responses out of slice)")
-    counts = np.bincount(labels, minlength=len(boundaries) - 1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
     n_slices, m = len(counts), rows.shape[1]
@@ -365,5 +392,5 @@ def slice_stats(s: SampleSet, partition: SlicePartition) -> SliceStats:
     through the set's standardizer (:func:`whitened_slice_stats`).
     """
     counts, means, scatter = slice_moments(s.inputs, s.outputs, partition.labels,
-                                           partition.boundaries)
+                                           partition.boundaries, partition.counts)
     return whitened_slice_stats(counts, means, scatter, s.standardizer)

@@ -24,13 +24,16 @@ numbers are reproducible.
 
 from __future__ import annotations
 
+import collections
 import functools
+import queue
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ridgerec.core import SampleSet, Subspace, _cpu_pool, _one_blas_thread
+from ridgerec import measures
+from ridgerec.core import SampleSet, Subspace, _cpu_pool, _one_blas_thread, _pool_width
 from ridgerec.measures import (
     InputMeasure,
     Standardizer,
@@ -43,13 +46,6 @@ from ridgerec.measures import (
 from ridgerec.spectral import orthonormal_basis
 
 QUAD_DIMENSION = 10
-
-#: Rows per chunk in which samples are drawn and evaluated.  It sets the
-#: order in which a truth surrogate sums its slice moments, so it is part
-#: of the surrogate cache key.  The samples of the built-in models do not
-#: depend on it: it is a power of two, so a chunk's rows fall into the
-#: blocks of BLAS's matrix-vector kernels as they do in one evaluation.
-CHUNK_ROWS = 16_384
 
 #: Seed for the canonical coefficient draws of the quadratic models.
 CANONICAL_SEED = 101
@@ -248,34 +244,56 @@ def _evaluate_into(evaluator: Callable, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
-                  rows: Optional[np.ndarray] = None) -> None:
-    """Draw ``n`` rows of ``measure`` from ``generator(seed)`` in chunks; run ``job`` on each.
+                  rows: Optional[np.ndarray] = None, merge: Optional[Callable] = None) -> None:
+    """Draw the ``n`` rows of ``measure`` with ``seed`` in chunks, and run ``job`` on each
+    chunk on the CPU pool.
 
-    The chunks hold ``CHUNK_ROWS`` rows each, in row order, and the last
-    also takes the remainder: numpy would take a one-row remainder through
-    another BLAS routine, which rounds otherwise.  Each chunk is drawn
-    into ``rows`` when it is given, an (n, m) array, and otherwise into
-    one of two reused buffers.  ``job(a, x)`` gets the chunk's first row
-    index and the chunk, read-only; it runs on a pool thread
-    (:func:`~ridgerec.core._cpu_pool`) while the next chunk is drawn on
-    the calling thread.  At most one job runs at a time and the jobs run
-    in row order, so what they compute does not depend on the CPU count.
+    The chunks are the draw's blocks (:func:`~ridgerec.measures.draw`),
+    ``CHUNK_ROWS`` rows each, and the last also takes the remainder: numpy
+    would take a one-row remainder through another BLAS routine, which
+    rounds otherwise.  A pool thread (:func:`~ridgerec.core._cpu_pool`)
+    draws a chunk from its blocks' streams and runs ``job(a, x)`` on it,
+    with ``a`` the chunk's first row index and ``x`` the chunk, read-only;
+    the chunks run on any thread, in any order, and draw the same bytes
+    everywhere.  A chunk is drawn into ``rows`` when it is given, an
+    (n, m) array, and otherwise into one of the buffers, one per pool
+    thread, that the calling thread allocates.  ``merge``, when given,
+    gets each job's result on the calling thread in row order; at most two
+    chunks per pool thread run or wait ahead of it.  Inside a pool thread
+    the chunks run one at a time, in row order, on that thread.
     """
-    starts = range(0, max(n - CHUNK_ROWS, 0) + 1, CHUNK_ROWS)
+    starts = range(0, max(n - measures.CHUNK_ROWS, 0) + 1, measures.CHUNK_ROWS)
     ends = [*starts[1:], n]
-    if rows is None:
-        buffers = [np.empty((n - starts[-1], measure.dimension)) for _ in ends[:2]]
-    rng = generator(seed)
-    with _cpu_pool(len(ends)) as pool:
-        running = None
-        for k, (a, b) in enumerate(zip(starts, ends)):
-            out = rows[a:b] if rows is not None else buffers[k % 2][:b - a]
-            x = draw(measure, b - a, rng, out=out)
+    width = min(len(ends), _pool_width())
+    buffers = queue.SimpleQueue()  # no more jobs run at once than there are threads
+    for _ in range(width if rows is None else 0):
+        buffers.put(np.empty((n - starts[-1], measure.dimension)))  # the last chunk is the largest
+
+    def run(a: int, b: int):
+        buf = None if rows is not None else buffers.get()
+        try:
+            x = draw(measure, b - a, seed, out=rows[a:b] if buf is None else buf[:b - a],
+                     first_row=a)
             x.setflags(write=False)
-            if running is not None:
-                running.result()
-            running = pool.submit(job, a, x)
-        running.result()
+            return job(a, x)
+        finally:
+            if buf is not None:
+                buffers.put(buf)
+
+    def finish(future) -> None:
+        result = future.result()
+        if merge is not None:
+            merge(result)
+
+    depth = 2 * width if width > 1 else 0  # on one thread each job is finished at once
+    with _cpu_pool(len(ends)) as pool:
+        ahead = collections.deque()
+        for a, b in zip(starts, ends):
+            ahead.append(pool.submit(run, a, b))
+            if len(ahead) > depth:
+                finish(ahead.popleft())
+        while ahead:
+            finish(ahead.popleft())
 
 
 @_one_blas_thread
@@ -283,13 +301,13 @@ def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
     """Draw inputs from the model's measure, evaluate, and standardize.
 
     The response is evaluated on the raw draws (the coordinates the
-    evaluator expects).  The rows are drawn from one generator into one
-    array in chunks, and each chunk is evaluated while the next is drawn
-    (:func:`stream_chunks`).  For the built-in models the rows are the
-    bytes of one draw (:func:`~ridgerec.measures.draw`) and the responses
-    those of one evaluation.  The set keeps the raw rows, made read-only,
-    as its ``inputs``, and the responses, and carries the measure's map,
-    which whitens them (:meth:`~ridgerec.core.Standardizer.whiten`).
+    evaluator expects).  Each chunk of rows is drawn into one array and
+    evaluated on a pool thread (:func:`stream_chunks`).  The rows are the
+    bytes of one draw (:func:`~ridgerec.measures.draw`) and, for the
+    built-in models, the responses those of one evaluation.  The set
+    keeps the raw rows, made read-only, as its ``inputs``, and the
+    responses, and carries the measure's map, which whitens them
+    (:meth:`~ridgerec.core.Standardizer.whiten`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

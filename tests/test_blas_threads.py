@@ -24,7 +24,7 @@ from ridgerec.cli import CSV_BLOCK_VALUES, write_samples_csv
 from ridgerec.core import SampleSet, _one_blas_thread
 from ridgerec.estimators import estimate
 from ridgerec.measures import InputMeasure, fit_standardizer, standardize
-from ridgerec.testfns import CHUNK_ROWS
+from ridgerec.measures import CHUNK_ROWS
 
 CALLS = core._openblas_calls()
 needs_openblas = pytest.mark.skipif(CALLS is None, reason="no OpenBLAS thread call found")
@@ -168,9 +168,10 @@ def test_without_a_thread_call_nothing_is_held_and_wide_rows_take_one_worker(mon
     rows = np.random.default_rng(2).standard_normal((400, 80))
     labels = (np.arange(400) % 2 * 2).astype(np.uint8)  # slice 1 of 3 empty
     boundaries = np.arange(4) - 0.5
-    slicing.slice_moments(rows, labels.astype(float), labels, boundaries)
+    counts = np.bincount(labels, minlength=3)
+    slicing.slice_moments(rows, labels.astype(float), labels, boundaries, counts)
     slicing.map_slices(lambda a: a @ a, np.ones((2, 80, 80)))
-    slicing.slice_moments(rows[:, :64].copy(), labels.astype(float), labels, boundaries)
+    slicing.slice_moments(rows[:, :64].copy(), labels.astype(float), labels, boundaries, counts)
     assert widths == [1, 2]  # the wide moments on one worker, no pooled products
 
 

@@ -314,7 +314,7 @@ class TestEstimateCommands:
         assert run("sir", "--input", str(tmp_path / "samples.csv"), "--assume-standardized",
                    "--slices", "20", "--dim", "2", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "mean of x1 is 318.2 standard errors" in err and "limit 8" in err
+        assert "mean of x1 is 318.3 standard errors" in err and "limit 8" in err
         assert not out.exists()
 
     def test_assume_standardized_refuses_a_moment_that_overflows(self, tmp_path, capsys):
@@ -527,6 +527,25 @@ class TestEstimateCommands:
         assert run("save", "--function", "quad1", "--n", "60", "--slices", "40",
                    "--slice-scheme", "fixed", "--out", str(out)) == 2
         assert "smallest slice has 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_slices_of_a_response_range_that_overflows_refused(self, tmp_path, capsys):
+        """Finite responses spanning +-1.7e308: y_max - y_min overflows a double, so no
+        equal-width cuts exist.  Exit 2, and no numpy warning, which would fail the run here."""
+        rng = np.random.default_rng(9)
+        y = rng.uniform(-1.7, 1.7, 200) * 1e308
+        y[:2] = -1.7e308, 1.7e308
+        csv = tmp_path / "samples.csv"
+        write_samples_csv(csv, rng.standard_normal((200, 3)), y)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sir", "--input", str(csv), "--assume-standardized",
+                       "--slice-scheme", "fixed", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: fixed-width slices need a response range that a double holds, but "
+            "y_max - y_min = 1.7e+308 - (-1.7e+308) overflows; use equal-count slices or "
+            "rescale the responses\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, source, flags, config, refusal", [

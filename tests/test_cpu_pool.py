@@ -1,22 +1,21 @@
 """The CPU pool and the work inside one estimate that runs on it.
 
-``stream_chunks`` runs a job on each drawn chunk on a pool thread while the
-next is drawn, for ``generate_samples`` and both passes of a truth
-surrogate, and ``slice_moments`` fans groups of slices out over the
-pool.  Neither may change a bit of the result at any CPU count, leave a
-thread behind, or open a pool inside a pool thread.
+``stream_chunks`` draws and runs a job on each chunk on a pool thread,
+for ``generate_samples`` and both passes of a truth surrogate, and
+``slice_moments`` fans groups of slices out over the pool.  Neither may
+change a bit of the result at any CPU count, leave a thread behind, or
+open a pool inside a pool thread.
 """
 
 import functools
 import sys
 import threading
-import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from ridgerec import core, experiments, slicing, testfns
+from ridgerec import core, experiments, measures, slicing, testfns
 from ridgerec.core import Subspace, _cpu_pool
 from ridgerec.estimators import estimate
 from ridgerec.experiments import StudyConfig, run_convergence, truth_surrogate
@@ -40,7 +39,7 @@ def frequent_switches():
 @pytest.fixture
 def small_work_on_the_pool(monkeypatch):
     """Send even small samples through the pool: short chunks, fan-out at any size."""
-    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
     monkeypatch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
     monkeypatch.setattr(slicing, "PRODUCT_FAN_OUT_MIN", 0)
 
@@ -113,61 +112,93 @@ def test_generate_and_estimate_bytes_do_not_depend_on_the_cpu_count(case, cpus):
 
 
 @pytest.mark.parametrize("name", testfns.TEST_FUNCTION_NAMES)
-@pytest.mark.parametrize("chunk_rows", [128, 512, 1024])
-def test_samples_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk_rows):
-    """Power-of-two chunks of the built-in models are the bytes of one draw and one evaluation."""
+def test_samples_are_one_draw_and_one_evaluation_at_any_cpu_count(monkeypatch, cpus, name):
+    """Each block has a stream of its own, so the thread that draws it does not matter.
+
+    The chunks of the built-in models, a power of two plus the last one's
+    remainder, also evaluate to the bytes of one evaluation.
+    """
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 128)
     fn = get_test_function(name)
-    whole = generate_samples(fn, 1037, 4)
-    monkeypatch.setattr(testfns, "CHUNK_ROWS", chunk_rows)
-    chunked = generate_samples(fn, 1037, 4)
-    assert chunked.inputs.tobytes() == whole.inputs.tobytes()
-    assert chunked.outputs.tobytes() == whole.outputs.tobytes()
+    whole = draw(fn.measure, 1037, 4)
+    samples = []
+    with frequent_switches():
+        for count in CPU_COUNTS:
+            cpus(count)
+            s = generate_samples(fn, 1037, 4)
+            samples.append(s.inputs.tobytes() + s.outputs.tobytes())
+    assert samples == samples[:1] * len(CPU_COUNTS)
+    assert s.inputs.tobytes() == whole.tobytes()
+    assert s.outputs.tobytes() == np.ravel(fn.evaluator(whole)).tobytes()
 
 
-def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch):
-    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
+def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch, cpus):
+    """On one CPU, as in a pool thread, the chunks run in row order on the calling thread."""
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
+    cpus(1)
     fn = get_test_function("quad1")
     seen = []
 
     def evaluator(x):
-        seen.append((len(x), x.flags.writeable))
+        seen.append((len(x), x.flags.writeable, threading.get_ident()))
         return fn.evaluator(x)
 
     generate_samples(testfns.TestFunction("seen", evaluator, fn.measure, fn.true_subspace), 350, 1)
     # The 50-row remainder joins the last chunk.
-    assert seen == [(100, False), (100, False), (150, False)]
+    caller = threading.get_ident()
+    assert seen == [(100, False, caller), (100, False, caller), (150, False, caller)]
 
 
 @pytest.mark.parametrize("into_rows", [False, True])
 @pytest.mark.parametrize("n, sizes", [(100, [100]), (101, [101]), (199, [199]),
-                                      (300, [100, 100, 100])])
-def test_chunk_jobs_run_one_at_a_time_in_row_order_on_one_draw(monkeypatch, cpus, n, sizes,
-                                                               into_rows):
-    """Chunks of 100 rows, the last taking the remainder, are the bytes of one draw."""
-    monkeypatch.setattr(testfns, "CHUNK_ROWS", 100)
-    cpus(2)
+                                      (300, [100, 100, 100]), (1_050, [100] * 9 + [150])])
+def test_chunk_jobs_see_one_draw_and_merge_in_row_order(monkeypatch, cpus, n, sizes, into_rows):
+    """At any CPU count, each job gets its chunk of one draw, read-only, and the calling
+    thread merges the results in row order."""
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
     measure = get_test_function("hartmann").measure  # a Gaussian with diagonal covariance
-    rows = np.empty((n, measure.dimension)) if into_rows else None
-    seen, running, lock = [], [], threading.Lock()
+    whole = draw(measure, n, 7).tobytes()
+    starts = [int(a) for a in np.cumsum([0, *sizes[:-1]])]
+    for count in CPU_COUNTS:
+        cpus(count)
+        rows = np.empty((n, measure.dimension)) if into_rows else None
+        seen, merged = {}, []
+
+        def job(a, x):
+            seen[a] = (x.copy(), x.flags.writeable)
+            return a
+
+        def merge(a):
+            merged.append((a, threading.get_ident()))
+
+        with frequent_switches():
+            testfns.stream_chunks(measure, n, 7, job, rows, merge=merge)
+        assert merged == [(a, threading.get_ident()) for a in starts]
+        assert sorted(seen) == starts
+        assert [len(seen[a][0]) for a in starts] == sizes
+        assert np.concatenate([seen[a][0] for a in starts]).tobytes() == whole
+        assert not any(writeable for _, writeable in seen.values())
+        if into_rows:
+            assert rows.tobytes() == whole
+
+
+def test_a_failed_chunk_job_stops_the_stream(monkeypatch, cpus):
+    """The error reaches the caller once no pool thread is left, and no later merge runs."""
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
+    cpus(2)
+    threads = threading.active_count()
+    merged = []
 
     def job(a, x):
-        with lock:
-            running.append(a)
-            alone = len(running) == 1
-        seen.append((a, x.copy(), x.flags.writeable, alone))
-        time.sleep(0.002)  # long enough for an overlapping job to start
-        with lock:
-            running.remove(a)
+        if a == 300:
+            raise RuntimeError("chunk 3")
+        return a
 
-    with frequent_switches():
-        testfns.stream_chunks(measure, n, 7, job, rows)
-    whole = draw(measure, n, 7).tobytes()
-    assert [a for a, *_ in seen] == list(np.cumsum([0, *sizes[:-1]]))
-    assert [len(x) for _, x, *_ in seen] == sizes
-    assert np.concatenate([x for _, x, *_ in seen]).tobytes() == whole
-    assert [(writeable, alone) for *_, writeable, alone in seen] == [(False, True)] * len(sizes)
-    if into_rows:
-        assert rows.tobytes() == whole
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        testfns.stream_chunks(InputMeasure.standard_gaussian(2), 2_000, 1, job,
+                              merge=merged.append)
+    assert merged == [0, 100, 200]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.usefixtures("small_work_on_the_pool")
@@ -178,7 +209,7 @@ def test_a_study_runs_one_pool_at_a_time(tmp_path, monkeypatch, cpus, count):
     The peak is read from inside the evaluator, which runs on pool
     threads in both surrogate passes and in every trial.
     """
-    monkeypatch.setattr(testfns, "CHUNK_ROWS", 500)
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 500)
     quad3 = get_test_function("quad3")
     peaks, lock = [], threading.Lock()
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ridgerec import experiments, testfns
+from ridgerec import experiments, measures, testfns
 from ridgerec.core import Standardizer, Subspace
 from ridgerec.estimators import estimate
 from ridgerec.experiments import (
@@ -148,8 +148,9 @@ class TestTruthSurrogate:
         assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
     def test_format_3_file_is_rebuilt(self, tmp_path, monkeypatch, surrogate_builds):
-        """Format 4 merges the last chunks otherwise, so a format-3 file is rebuilt, not read."""
-        assert experiments.SURROGATE_FORMAT == 4
+        """Format 5 draws and merges the chunks otherwise, so a format-3 file is rebuilt,
+        not read."""
+        assert experiments.SURROGATE_FORMAT == 5
         cfg = small_config(function="hartmann", n_components=2)
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "SURROGATE_FORMAT", 3)
@@ -164,7 +165,7 @@ class TestTruthSurrogate:
     def test_chunk_size_is_part_of_the_key(self, tmp_path, monkeypatch, surrogate_builds):
         cfg = small_config()
         truth_surrogate(cfg, tmp_path)
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", 1000)
         truth_surrogate(cfg, tmp_path)
         assert len(surrogate_builds) == 2
         assert len(list(tmp_path.glob("truth-*.npz"))) == 2
@@ -235,7 +236,7 @@ class TestStreamedSurrogate:
     def test_agrees_with_one_estimate_of_the_whole_draw(self, tmp_path, monkeypatch, function,
                                                         n_components, method, scheme,
                                                         chunk_rows):
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", chunk_rows)
         cfg = small_config(function=function, method=method, scheme=scheme,
                            n_components=n_components, n_slices=3, truth_size=5_003)
         spec = truth_surrogate(cfg, tmp_path)
@@ -252,7 +253,7 @@ class TestStreamedSurrogate:
     @pytest.mark.parametrize("function, n_components", [("quad3", 3), ("hartmann", 2)])
     def test_file_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
                                                        function, n_components):
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", 500)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", 500)
         cfg = small_config(function=function, n_components=n_components, truth_size=4_321)
         files = []
         interval = sys.getswitchinterval()
@@ -274,7 +275,7 @@ class TestStreamedSurrogate:
             y[-1] = np.nan
             return y
 
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, with_nan, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match="responses must be finite"):
@@ -290,7 +291,7 @@ class TestStreamedSurrogate:
             y = quad1.evaluator(x)  # right on the key's 64-row probe
             return np.resize(y, size) if len(x) == 1_000 else y
 
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, wrong_on_chunks, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match=f"returned {size} values for 1000 input rows"):
@@ -309,9 +310,13 @@ class TestStreamedSurrogate:
         (lambda y: y[:1], "returned 1 values for 1000 input rows"),
         (lambda y: np.resize(y, 1_001), "returned 1001 values for 1000 input rows"),
     ], ids=["shifted", "one value", "one too many"])
-    def test_second_pass_that_disagrees_with_the_first_refused(self, tmp_path, monkeypatch,
+    def test_second_pass_that_disagrees_with_the_first_refused(self, tmp_path, monkeypatch, cpus,
                                                                second_pass, match):
-        """Pass 2 evaluates each chunk again and checks the responses against their slices."""
+        """Pass 2 evaluates each chunk again and checks the responses against their slices.
+
+        On one CPU the chunks run in row order, so none runs past the first refused.
+        """
+        cpus(1)
         quad1 = get_test_function("quad1")
         chunks = []
 
@@ -323,7 +328,7 @@ class TestStreamedSurrogate:
                     return second_pass(y)
             return y
 
-        monkeypatch.setattr(testfns, "CHUNK_ROWS", 1_000)
+        monkeypatch.setattr(measures, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(experiments, "get_test_function", lambda name: testfns.TestFunction(
             name, shifting, quad1.measure, quad1.true_subspace))
         with pytest.raises(ValueError, match=match):
@@ -332,7 +337,8 @@ class TestStreamedSurrogate:
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_stays_below_half_the_draw(self, tmp_path, cpus):
-        """numpy reports its buffers to tracemalloc; the draw fills two chunk buffers."""
+        """numpy reports its buffers to tracemalloc; the draw fills one chunk buffer per
+        pool thread."""
         cpus(2)
         cfg = small_config(function="quad3", n_components=3, sizes=(1_000,),
                            n_slices=16, truth_size=200_000)

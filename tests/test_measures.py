@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ridgerec import measures as measures_module
 from ridgerec.core import SampleSet
 from ridgerec.estimators import estimate
 from ridgerec.measures import (
@@ -81,28 +82,62 @@ def measures(draw_from, dense=False):
     return InputMeasure.gaussian(rng.standard_normal(m), a @ a.T + 0.1 * np.eye(m))
 
 
-def chunked(measure, n, chunk_rows, seed):
-    """The draw taken in chunks from one generator."""
-    rng = generator(seed)
-    return np.concatenate([draw(measure, min(chunk_rows, n - a), rng)
-                           for a in range(0, n, chunk_rows)])
+#: Block sizes small enough that a draw of a few hundred rows crosses several blocks.
+small_blocks = st.integers(1, 64)
 
 
-class TestChunkedDraw:
-    """The premise of drawing in chunks: the chunks are the rows of one draw."""
+class TestBlockStreams:
+    """Block k of a seed's sample is drawn from Philox(key=seed).jumped(k)."""
 
-    @given(measures(), st.integers(1, 300), st.integers(1, 320), st.integers(0, 2**64 - 1))
-    def test_chunks_are_the_bytes_of_one_draw(self, measure, n, chunk_rows, seed):
-        assert chunked(measure, n, chunk_rows, seed).tobytes() == draw(measure, n, seed).tobytes()
-
-    @given(measures(dense=True), st.integers(1, 300), st.integers(1, 320),
+    @given(measures(), st.integers(1, 300), st.integers(1, 300), small_blocks,
            st.integers(0, 2**64 - 1))
-    def test_dense_covariance_chunks_agree_to_a_few_ulps(self, measure, n, chunk_rows, seed):
-        """The Cholesky product's rounding may depend on a row's place in the call."""
-        whole = draw(measure, n, seed)
-        in_sequence = chunked(measure, n, chunk_rows, seed)
-        np.testing.assert_allclose(in_sequence, whole, rtol=1e-14,
-                                   atol=1e-14 * np.max(np.abs(whole)))
+    def test_a_draw_is_a_prefix_of_a_larger_one(self, measure, n, more, block_rows, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures_module, "CHUNK_ROWS", block_rows)
+            small, large = draw(measure, n, seed), draw(measure, n + more, seed)
+        assert small.tobytes() == large[:n].tobytes()
+
+    @given(measures(dense=True), st.integers(1, 300), st.integers(1, 300), small_blocks,
+           st.integers(0, 2**64 - 1))
+    def test_dense_covariance_prefix_agrees_to_a_few_ulps(self, measure, n, more, block_rows,
+                                                          seed):
+        """The Cholesky product's rounding may depend on a row's place in its block, so a
+        block cut short agrees to a few ulps and every whole block bit for bit."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures_module, "CHUNK_ROWS", block_rows)
+            small, large = draw(measure, n, seed), draw(measure, n + more, seed)
+        whole_blocks = n - n % block_rows
+        assert small[:whole_blocks].tobytes() == large[:whole_blocks].tobytes()
+        np.testing.assert_allclose(small, large[:n], rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(large[:n])))
+
+    @given(measures(), st.integers(1, 5), st.integers(1, 200), small_blocks,
+           st.integers(0, 2**64 - 1))
+    def test_a_draw_from_a_block_boundary_is_the_rest_of_the_sample(self, measure, k, n,
+                                                                     block_rows, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures_module, "CHUNK_ROWS", block_rows)
+            rest = draw(measure, n, seed, first_row=k * block_rows)
+            whole = draw(measure, k * block_rows + n, seed)
+        assert rest.tobytes() == whole[k * block_rows:].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_each_block_is_its_own_jumped_philox_stream(self, monkeypatch, seed):
+        """Block 0 is the stream of ``Generator(Philox(key=seed))``, as before block streams."""
+        monkeypatch.setattr(measures_module, "CHUNK_ROWS", 50)
+        x = draw(InputMeasure.standard_gaussian(3), 120, seed)
+        first = np.random.Generator(np.random.Philox(key=seed)).standard_normal((50, 3))
+        assert x[:50].tobytes() == first.tobytes()
+        assert x[:50].tobytes() == generator(seed).standard_normal((50, 3)).tobytes()
+        for k, rows in [(1, 50), (2, 20)]:
+            stream = np.random.Generator(np.random.Philox(key=seed).jumped(k))
+            assert x[50 * k:50 * k + rows].tobytes() == stream.standard_normal((rows, 3)).tobytes()
+
+    @pytest.mark.parametrize("first_row", [-50, 1, 49, 51])
+    def test_a_draw_off_a_block_boundary_refused(self, monkeypatch, first_row):
+        monkeypatch.setattr(measures_module, "CHUNK_ROWS", 50)
+        with pytest.raises(ValueError, match="not a multiple of CHUNK_ROWS"):
+            draw(InputMeasure.standard_gaussian(2), 10, 1, first_row=first_row)
 
 
 class TestStandardizer:

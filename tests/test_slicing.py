@@ -1,5 +1,7 @@
 """Response-range partitioning and per-slice statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ridgerec import core, slicing
 from ridgerec.slicing import (
     SlicePartition,
+    SliceRuleError,
     default_slice_count,
     partition_equal_count,
     partition_fixed,
@@ -197,11 +200,15 @@ class TestPartitionInvariants:
         with pytest.raises(ValueError):
             SlicePartition(boundaries=np.array([1.0, 0.0]), labels=np.array([0]), scheme="fixed")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partition_rejects_nan_boundaries(self):
-        """A response range that overflows makes NaN cuts, which must not pass."""
-        with pytest.raises(ValueError, match="ascending"):
-            partition_fixed([-1.5e308, 1.5e308], 2)
+        """A response range that overflows would make NaN cuts; it is refused first,
+        without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SliceRuleError, match=r"y_max - y_min = 1.5e\+308 - "
+                                                     r"\(-1.5e\+308\) overflows"):
+                partition_fixed([-1.5e308, 1.5e308], 2)
+        assert partition_fixed([-8e307, 8e307], 2).boundaries.tolist() == [-8e307, 0.0, 8e307]
 
 
 @st.composite
@@ -489,12 +496,20 @@ class TestSliceMoments:
         held = rng.choice(n_slices, size=rng.integers(1, n_slices + 1), replace=False)
         labels = rng.choice(held, n).astype(np.min_scalar_type(n_slices - 1))
         rows = rng.standard_normal((n, m)) * rng.uniform(0.5, 4.0, m)
+        label_counts = np.bincount(labels, minlength=n_slices)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_available_cpus", lambda: cpus)
             patch.setattr(slicing, "FAN_OUT_MIN_VALUES", 0)
             counts, means, scatter = slice_moments(rows, labels.astype(float), labels,
-                                                   np.arange(n_slices + 1) - 0.5)
+                                                   np.arange(n_slices + 1) - 0.5, label_counts)
         ref_means, ref_scatter = per_slice_moments(rows, labels, n_slices)
-        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=n_slices))
+        np.testing.assert_array_equal(counts, label_counts)
         assert means.tobytes() == ref_means.tobytes()
         assert scatter.tobytes() == ref_scatter.tobytes()
+
+    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 0], [2, 2, 2]])
+    def test_counts_that_do_not_match_the_labels_refused(self, counts):
+        labels = np.array([0, 0, 1, 1, 2], dtype=np.uint8)
+        with pytest.raises(ValueError, match="slice counts do not match the labels"):
+            slice_moments(np.ones((5, 2)), labels.astype(float), labels,
+                          np.arange(4) - 0.5, np.array(counts))
