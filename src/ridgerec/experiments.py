@@ -18,6 +18,7 @@ study configuration: rerunning a config reproduces results bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -215,8 +216,8 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
     """
     n, m = cfg.truth_size, fn.dimension
     y = np.empty(n)
-    stream_chunks(fn.measure, n, cfg.truth_seed,
-                  lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]))
+    list(stream_chunks(fn.measure, n, cfg.truth_seed,
+                       lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)])))
     partition = method_partition(y, cfg.n_slices, cfg.scheme, cfg.method, cfg.n_components)
     del y  # pass 2 evaluates each chunk again
     r = partition.n_slices
@@ -229,18 +230,16 @@ def _stream_surrogate(fn: TestFunction, cfg: StudyConfig) -> SymmetricSpectrum:
         return slice_moments(x, out, labels, partition.boundaries,
                              np.bincount(labels, minlength=r))
 
-    def merge(chunk: tuple) -> None:
-        nonlocal counts, means, scatter
-        c, mu, sc = chunk
-        total = counts + c
-        share = np.divide(c, total, out=np.zeros(r), where=c > 0)
-        delta = mu - means
-        means += delta * share[:, None]
-        # n_a n_b / n (d d'), formed so that it stays exactly symmetric
-        scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
-        counts = total
-
-    stream_chunks(fn.measure, n, cfg.truth_seed, moments, merge=merge)
+    # Closed on leaving, so no pool thread outlives an interrupt of the merge.
+    with contextlib.closing(stream_chunks(fn.measure, n, cfg.truth_seed, moments)) as chunks:
+        for c, mu, sc in chunks:
+            total = counts + c
+            share = np.divide(c, total, out=np.zeros(r), where=c > 0)
+            delta = mu - means
+            means += delta * share[:, None]
+            # n_a n_b / n (d d'), formed so that it stays exactly symmetric
+            scatter += sc + delta[:, :, None] * delta[:, None, :] * (counts * share)[:, None, None]
+            counts = total
     stats = whitened_slice_stats(counts, means, scatter, fit_standardizer(fn.measure))
     return estimate_from_stats(stats, partition, cfg.method, cfg.n_components).spectrum
 

@@ -269,10 +269,11 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     slice boundaries and ``counts`` the R counts of the labels, such as
     ``np.bincount(labels, minlength=R)`` or a partition's ``counts``,
     which are not taken again here.  Refuses rows, responses and labels
-    of different lengths, counts that do not add up to them, and a
-    response outside the closed interval of its slice, which guards
-    against pairing a partition with the wrong data.  Each
-    slice's rows are summed in ascending row order, as the stable
+    of different lengths, counts that are not the labels' (checked at
+    each slice's ends in the sorted labels, in O(R), rather than by
+    counting again), and a response outside the closed interval of its
+    slice, which guards against pairing a partition with the wrong data.
+    Each slice's rows are summed in ascending row order, as the stable
     argsort of the labels lists them, so the moments of a sample do not
     depend on how its partition was made.  Returns the (R,) counts, the
     (R, m) means and the (R, m, m) sums of (x - mu_r)(x - mu_r)'; a slice
@@ -302,12 +303,20 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     """
     if not len(rows) == len(responses) == len(labels):
         raise ValueError("partition does not match sample set (different sample count)")
-    if len(counts) != len(boundaries) - 1 or counts.sum() != len(labels):
+    if (len(counts) != len(boundaries) - 1 or counts.sum() != len(labels)
+            or np.any(counts < 0)):
         raise ValueError("slice counts do not match the labels")
     if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
         raise ValueError("partition does not match sample set (responses out of slice)")
     offsets = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
+    # The sorted labels ascend, so a segment whose first and last labels
+    # are its slice's holds nothing else, and segments that cover all the
+    # rows then hold each slice's rows exactly: the counts are the labels'.
+    held = np.flatnonzero(counts)
+    if (np.any(labels[order[offsets[held]]] != held)
+            or np.any(labels[order[offsets[held + 1] - 1]] != held)):
+        raise ValueError("slice counts do not match the labels")
     n_slices, m = len(counts), rows.shape[1]
     means = np.zeros((n_slices, m))
     scatter = np.zeros((n_slices, m, m))

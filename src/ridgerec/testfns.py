@@ -24,11 +24,10 @@ numbers are reproducible.
 
 from __future__ import annotations
 
-import collections
 import functools
 import queue
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -244,9 +243,9 @@ def _evaluate_into(evaluator: Callable, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
-                  rows: Optional[np.ndarray] = None, merge: Optional[Callable] = None) -> None:
-    """Draw the ``n`` rows of ``measure`` with ``seed`` in chunks, and run ``job`` on each
-    chunk on the CPU pool.
+                  rows: Optional[np.ndarray] = None) -> Iterator:
+    """Draw the ``n`` rows of ``measure`` with ``seed`` in chunks, run ``job`` on each
+    chunk on the CPU pool, and yield the results in row order.
 
     The chunks are the draw's blocks (:func:`~ridgerec.measures.draw`),
     ``CHUNK_ROWS`` rows each, and the last also takes the remainder: numpy
@@ -257,16 +256,16 @@ def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
     the chunks run on any thread, in any order, and draw the same bytes
     everywhere.  A chunk is drawn into ``rows`` when it is given, an
     (n, m) array, and otherwise into one of the buffers, one per pool
-    thread, that the calling thread allocates.  ``merge``, when given,
-    gets each job's result on the calling thread in row order; at most two
-    chunks per pool thread run or wait ahead of it.  Inside a pool thread
-    the chunks run one at a time, in row order, on that thread.
+    thread, that the calling thread allocates.  No job starts before the
+    first result is read; inside a pool thread each runs, on that thread,
+    as its result is read.  A failed job, or closing the iterator, stops
+    the stream: the jobs not yet started are cancelled, and the error is
+    raised, or the close returns, once no pool thread is left.
     """
     starts = range(0, max(n - measures.CHUNK_ROWS, 0) + 1, measures.CHUNK_ROWS)
     ends = [*starts[1:], n]
-    width = min(len(ends), _pool_width())
     buffers = queue.SimpleQueue()  # no more jobs run at once than there are threads
-    for _ in range(width if rows is None else 0):
+    for _ in range(min(len(ends), _pool_width()) if rows is None else 0):
         buffers.put(np.empty((n - starts[-1], measure.dimension)))  # the last chunk is the largest
 
     def run(a: int, b: int):
@@ -280,20 +279,8 @@ def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
             if buf is not None:
                 buffers.put(buf)
 
-    def finish(future) -> None:
-        result = future.result()
-        if merge is not None:
-            merge(result)
-
-    depth = 2 * width if width > 1 else 0  # on one thread each job is finished at once
     with _cpu_pool(len(ends)) as pool:
-        ahead = collections.deque()
-        for a, b in zip(starts, ends):
-            ahead.append(pool.submit(run, a, b))
-            if len(ahead) > depth:
-                finish(ahead.popleft())
-        while ahead:
-            finish(ahead.popleft())
+        yield from pool.map(run, starts, ends)
 
 
 @_one_blas_thread
@@ -312,6 +299,6 @@ def generate_samples(fn: TestFunction, n_samples: int, seed: int) -> SampleSet:
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rows, y = np.empty((n_samples, fn.dimension)), np.empty(n_samples)
-    stream_chunks(fn.measure, n_samples, seed,
-                  lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]), rows)
+    list(stream_chunks(fn.measure, n_samples, seed,
+                       lambda a, x: _evaluate_into(fn.evaluator, x, y[a:a + len(x)]), rows))
     return standardize(SampleSet._shared(rows, y, None), fit_standardizer(fn.measure))

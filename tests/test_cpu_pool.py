@@ -132,10 +132,12 @@ def test_samples_are_one_draw_and_one_evaluation_at_any_cpu_count(monkeypatch, c
     assert s.outputs.tobytes() == np.ravel(fn.evaluator(whole)).tobytes()
 
 
-def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch, cpus):
-    """On one CPU, as in a pool thread, the chunks run in row order on the calling thread."""
+@pytest.mark.parametrize("count", [1, 2])
+def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch, cpus, count):
+    """Each chunk is shown read-only.  On one CPU, as in a pool thread, the chunks run in
+    row order on the calling thread; on two, on pool threads in any order."""
     monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
-    cpus(1)
+    cpus(count)
     fn = get_test_function("quad1")
     seen = []
 
@@ -146,15 +148,19 @@ def test_chunks_are_drawn_in_order_and_shown_read_only(monkeypatch, cpus):
     generate_samples(testfns.TestFunction("seen", evaluator, fn.measure, fn.true_subspace), 350, 1)
     # The 50-row remainder joins the last chunk.
     caller = threading.get_ident()
-    assert seen == [(100, False, caller), (100, False, caller), (150, False, caller)]
+    if count == 1:
+        assert seen == [(100, False, caller), (100, False, caller), (150, False, caller)]
+    else:
+        assert sorted(size for size, *_ in seen) == [100, 100, 150]
+        assert not any(writeable or ident == caller for _, writeable, ident in seen)
 
 
 @pytest.mark.parametrize("into_rows", [False, True])
 @pytest.mark.parametrize("n, sizes", [(100, [100]), (101, [101]), (199, [199]),
                                       (300, [100, 100, 100]), (1_050, [100] * 9 + [150])])
-def test_chunk_jobs_see_one_draw_and_merge_in_row_order(monkeypatch, cpus, n, sizes, into_rows):
-    """At any CPU count, each job gets its chunk of one draw, read-only, and the calling
-    thread merges the results in row order."""
+def test_chunk_jobs_see_one_draw_and_yield_in_row_order(monkeypatch, cpus, n, sizes, into_rows):
+    """At any CPU count, each job gets its chunk of one draw, read-only, and the results
+    come back in row order."""
     monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
     measure = get_test_function("hartmann").measure  # a Gaussian with diagonal covariance
     whole = draw(measure, n, 7).tobytes()
@@ -162,18 +168,14 @@ def test_chunk_jobs_see_one_draw_and_merge_in_row_order(monkeypatch, cpus, n, si
     for count in CPU_COUNTS:
         cpus(count)
         rows = np.empty((n, measure.dimension)) if into_rows else None
-        seen, merged = {}, []
+        seen = {}
 
         def job(a, x):
             seen[a] = (x.copy(), x.flags.writeable)
             return a
 
-        def merge(a):
-            merged.append((a, threading.get_ident()))
-
         with frequent_switches():
-            testfns.stream_chunks(measure, n, 7, job, rows, merge=merge)
-        assert merged == [(a, threading.get_ident()) for a in starts]
+            assert list(testfns.stream_chunks(measure, n, 7, job, rows)) == starts
         assert sorted(seen) == starts
         assert [len(seen[a][0]) for a in starts] == sizes
         assert np.concatenate([seen[a][0] for a in starts]).tobytes() == whole
@@ -182,23 +184,28 @@ def test_chunk_jobs_see_one_draw_and_merge_in_row_order(monkeypatch, cpus, n, si
             assert rows.tobytes() == whole
 
 
-def test_a_failed_chunk_job_stops_the_stream(monkeypatch, cpus):
-    """The error reaches the caller once no pool thread is left, and no later merge runs."""
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_failed_chunk_job_stops_the_stream(monkeypatch, cpus, count):
+    """The error reaches the caller once no pool thread is left, after the results of
+    the chunks before it; on one CPU no later chunk starts."""
     monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
-    cpus(2)
+    cpus(count)
     threads = threading.active_count()
-    merged = []
+    started, results = [], []
 
     def job(a, x):
+        started.append(a)
         if a == 300:
             raise RuntimeError("chunk 3")
         return a
 
     with pytest.raises(RuntimeError, match="chunk 3"):
-        testfns.stream_chunks(InputMeasure.standard_gaussian(2), 2_000, 1, job,
-                              merge=merged.append)
-    assert merged == [0, 100, 200]
+        for a in testfns.stream_chunks(InputMeasure.standard_gaussian(2), 2_000, 1, job):
+            results.append(a)
+    assert results == [0, 100, 200]
     assert threading.active_count() == threads
+    if count == 1:
+        assert started == [0, 100, 200, 300]
 
 
 @pytest.mark.usefixtures("small_work_on_the_pool")

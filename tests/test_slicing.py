@@ -507,7 +507,8 @@ class TestSliceMoments:
         assert means.tobytes() == ref_means.tobytes()
         assert scatter.tobytes() == ref_scatter.tobytes()
 
-    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 0], [2, 2, 2]])
+    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 0], [2, 2, 2], [1, 2, 2], [2, 3, 0],
+                                        [3, -1, 3]])
     def test_counts_that_do_not_match_the_labels_refused(self, counts):
         labels = np.array([0, 0, 1, 1, 2], dtype=np.uint8)
         with pytest.raises(ValueError, match="slice counts do not match the labels"):
