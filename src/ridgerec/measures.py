@@ -124,7 +124,7 @@ class InputMeasure:
 
 
 def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndarray] = None,
-         first_row: int = 0) -> np.ndarray:
+         first_row: int = 0, normals: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw ``n_samples`` i.i.d. inputs, rows ``first_row`` on of the seed's sample; returns
     an (N, m) array, ``out`` when one is given.
 
@@ -136,7 +136,12 @@ def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndar
     multiple of ``CHUNK_ROWS``; and a smaller draw is a prefix of a
     larger one with the same seed, since only its last block is cut
     short.  ``out``, if given, is a C-contiguous float64 (N, m) array to
-    draw into.
+    draw into.  A Gaussian measure with a dense covariance draws each
+    block's standard normals into ``normals``, a C-contiguous float64
+    array of at least min(N, ``CHUNK_ROWS``) rows and m columns, which
+    is allocated here, once, when not given: a caller that draws on pool
+    threads hands each thread one, since buffers allocated there stay in
+    those threads' malloc arenas.
 
     Drawn in pieces that start at block boundaries, a sample has the
     bytes of one draw for the standard Gaussian, the uniform box and a
@@ -156,6 +161,8 @@ def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndar
         raise ValueError(f"out has shape {out.shape}, not ({n_samples}, {m})")
     if measure.kind == "gaussian":
         L = np.linalg.cholesky(measure.cov)
+        if normals is None:
+            normals = np.empty((min(n_samples, CHUNK_ROWS), m))
     streams = np.random.Philox(key=seed & _MASK64)
     for a in range(0, n_samples, CHUNK_ROWS):
         rng = np.random.Generator(streams.jumped((first_row + a) // CHUNK_ROWS))
@@ -163,7 +170,8 @@ def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndar
         if measure.kind == "standard-gaussian":
             rng.standard_normal(out=block)
         elif measure.kind == "gaussian":
-            np.matmul(rng.standard_normal(block.shape), L.T, out=block)
+            z = rng.standard_normal(out=normals[:len(block)])
+            np.matmul(z, L.T, out=block)
             block += measure.mean
         elif measure.kind == "uniform-box":
             rng.random(out=block)

@@ -2,15 +2,18 @@
 
 Two schemes are provided.  Fixed-width slicing cuts the observed response
 range into equal-length intervals; slices that catch no samples are merged
-into their lower neighbor.  Equal-count slicing sorts the responses and
-cuts the sorted order into nearly equal blocks, which maximizes the
+into their lower neighbor.  Equal-count slicing sorts the response values
+and cuts the sorted order into nearly equal blocks, which maximizes the
 smallest per-slice count -- the quantity that governs how fast the slice
 moments converge.
 
 A partition is the slice that holds each sample: one label per sample,
-the slice index, next to the R+1 boundaries.  Cuts never split a run of
-tied responses, so the labels do not depend on how a sort orders ties.
-Slice moments (:func:`slice_moments`) sum each slice's rows in ascending
+the slice index, next to the R+1 boundaries.  Both schemes take the
+labels from the boundaries by one rule (:func:`_slice_of`): a response's
+slice is the number of inner boundaries strictly below it.  Cuts never
+split a run of tied responses, so a response's slice depends only on its
+value, and the labels do not depend on how a sort orders ties.  Slice
+moments (:func:`slice_moments`) sum each slice's rows in ascending
 sample index, for ``estimate`` and for every chunk of the truth
 surrogate alike.
 
@@ -59,6 +62,11 @@ FAN_OUT_MIN_VALUES = 1 << 20
 #: 1.0 ms in one batched call and 2.0 ms on the pool at m = 64
 #: (R m^3 = 5.2 10^6), but 3.3 against 2.5 ms at m = 100 (2 10^7).
 PRODUCT_FAN_OUT_MIN = 1 << 24
+
+#: Responses per block of the slice labelling (:func:`_slice_of`) and of
+#: the containment check in :func:`slice_moments`, whose temporaries are
+#: thus a few hundred kB at any N.
+BLOCK_ROWS = 1 << 14
 
 
 class SliceRuleError(ValueError):
@@ -184,6 +192,44 @@ def _as_response_vector(outputs) -> np.ndarray:
     return y
 
 
+def _slice_of(y: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Each response's slice: how many inner boundaries lie strictly below it.
+
+    Equals ``np.searchsorted(boundaries[1:-1], y, side="left")``, so a
+    response equal to an inner boundary belongs to the lower slice, and is
+    written straight into the narrowest unsigned type that holds R - 1.
+    A branch-free binary search runs over the inner boundaries, padded
+    with +inf to a power of two, in blocks of ``BLOCK_ROWS`` responses,
+    and every temporary is allocated once, on the calling thread.  At
+    N = 10^6 on 2 vCPUs it took 10 ms at R = 20 and 17 ms at R = 300,
+    against 35 and 71 ms for ``searchsorted``, whose branches on unsorted
+    keys mispredict.
+    """
+    inner = boundaries[1:-1]
+    labels = np.empty(len(y), dtype=np.min_scalar_type(len(inner)))
+    width = 1 << len(inner).bit_length()  # more than len(inner): the last entry is +inf
+    table = np.full(width, np.inf)
+    table[:len(inner)] = inner
+    rows = min(len(y), BLOCK_ROWS)
+    buffers = np.empty(rows, np.intp), np.empty(rows, np.intp), np.empty(rows), np.empty(rows, bool)
+    for a in range(0, len(y), BLOCK_ROWS):
+        ys = y[a:a + BLOCK_ROWS]
+        # pos counts the entries below each response found so far; step halves each pass.
+        pos, add, probed, below = (b[:len(ys)] for b in buffers)
+        pos[:] = 0
+        step = width >> 1
+        while step:
+            # pos + step - 1 stays below the width, so nothing is clipped; a checked
+            # take into ``out`` would copy through a buffer of its own.
+            np.take(table[step - 1:], pos, out=probed, mode="clip")
+            np.less(probed, ys, out=below)
+            np.multiply(below, step, out=add)
+            pos += add
+            step >>= 1
+        labels[a:a + len(ys)] = pos
+    return labels
+
+
 def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     """Cut [y_min, y_max] into equal-width slices, merging empty ones downward.
 
@@ -203,8 +249,7 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
                              f"but y_max - y_min = {float(hi)!r} - ({float(lo)!r}) overflows; "
                              f"use equal-count slices or rescale the responses")
     bounds = np.linspace(lo, hi, n_slices + 1)
-    # A response equal to an interior boundary counts as below it.
-    idx = np.searchsorted(bounds[1:-1], y, side="left")
+    idx = _slice_of(y, bounds)
     counts = np.bincount(idx, minlength=n_slices)
     nonempty = np.flatnonzero(counts)
     # An empty interval merges into the nonempty one below it.
@@ -222,6 +267,11 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     Per-slice counts differ by at most one unless tie runs force a cut to
     move; boundaries sit at midpoints between adjacent distinct sorted
     values, so membership still respects the closed-interval convention.
+    Only the values are sorted, not their indices: the cuts need only the
+    sorted values, and each label follows from its response and the
+    boundaries (:func:`_slice_of`), so no N-entry permutation is held.
+    At N = 10^6 on 2 vCPUs the sort took 9-11 ms, against 32-48 ms for
+    an argsort.
     """
     y = _as_response_vector(outputs)
     n = y.size
@@ -229,8 +279,7 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
         raise ValueError("n_slices must be at least 1")
     if n_slices > n:
         raise ValueError("more slices than samples")
-    order = np.argsort(y)
-    ys = y[order]
+    ys = np.sort(y)
     cuts = []
     prev = 0
     for k in range(1, n_slices):
@@ -252,13 +301,10 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     mids = (ys[cuts - 1] + ys[cuts]) / 2.0
     mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
     boundaries = np.concatenate(([ys[0]], mids, [ys[-1]]))
-    # Each N-sized buffer goes once used: a large estimate's peak memory is set here.
+    # The sorted copy goes before the labels are made: a large estimate's peak memory is set here.
     del ys
-    labels = np.empty(n, dtype=np.min_scalar_type(len(cuts)))
-    labels[order] = np.repeat(np.arange(len(cuts) + 1, dtype=labels.dtype),
-                              np.diff(cuts, prepend=0, append=n))
-    del order
-    return SlicePartition(boundaries=boundaries, labels=labels, scheme="equal-count")
+    return SlicePartition(boundaries=boundaries, labels=_slice_of(y, boundaries),
+                          scheme="equal-count")
 
 
 def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
@@ -306,8 +352,13 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     if (len(counts) != len(boundaries) - 1 or counts.sum() != len(labels)
             or np.any(counts < 0)):
         raise ValueError("slice counts do not match the labels")
-    if np.any(responses < boundaries[:-1][labels]) or np.any(responses > boundaries[1:][labels]):
-        raise ValueError("partition does not match sample set (responses out of slice)")
+    edge = np.empty(min(len(labels), BLOCK_ROWS))
+    for a in range(0, len(labels), BLOCK_ROWS):
+        ys, slices = responses[a:a + BLOCK_ROWS], labels[a:a + BLOCK_ROWS]
+        if (np.any(ys < np.take(boundaries[:-1], slices, out=edge[:len(ys)]))
+                or np.any(ys > np.take(boundaries[1:], slices, out=edge[:len(ys)]))):
+            raise ValueError("partition does not match sample set (responses out of slice)")
+    del edge  # before the gather, which sets a large estimate's peak memory
     offsets = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
     # The sorted labels ascend, so a segment whose first and last labels

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -256,28 +257,41 @@ def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
     the chunks run on any thread, in any order, and draw the same bytes
     everywhere.  A chunk is drawn into ``rows`` when it is given, an
     (n, m) array, and otherwise into one of the buffers, one per pool
-    thread, that the calling thread allocates.  No job starts before the
-    first result is read; inside a pool thread each runs, on that thread,
-    as its result is read.  A failed job, or closing the iterator, stops
-    the stream: the jobs not yet started are cancelled, and the error is
-    raised, or the close returns, once no pool thread is left.
+    thread, that the calling thread allocates, as are the Gaussian
+    normals' buffers (:func:`~ridgerec.measures.draw`).  No job starts
+    before the first result is read; inside a pool thread each runs, on
+    that thread, as its result is read.  A failed job, or closing the
+    iterator, stops the stream: a chunk past a failed one is not drawn
+    if it has not started, the jobs not yet started are cancelled, and
+    the error is raised, or the close returns, once no pool thread is
+    left.
     """
     starts = range(0, max(n - measures.CHUNK_ROWS, 0) + 1, measures.CHUNK_ROWS)
     ends = [*starts[1:], n]
+    m = measure.dimension
     buffers = queue.SimpleQueue()  # no more jobs run at once than there are threads
-    for _ in range(min(len(ends), _pool_width()) if rows is None else 0):
-        buffers.put(np.empty((n - starts[-1], measure.dimension)))  # the last chunk is the largest
+    for _ in range(min(len(ends), _pool_width())):
+        buf = np.empty((n - starts[-1], m)) if rows is None else None  # the largest chunk
+        normals = np.empty((min(n, measures.CHUNK_ROWS), m)) if measure.kind == "gaussian" else None
+        buffers.put((buf, normals))
+    failed_at, failed_lock = n, threading.Lock()  # the first row of the earliest failed chunk
 
     def run(a: int, b: int):
-        buf = None if rows is not None else buffers.get()
+        nonlocal failed_at
+        if a > failed_at:
+            return None  # never read: the failed chunk's error is raised first
+        buf, normals = buffers.get()
         try:
             x = draw(measure, b - a, seed, out=rows[a:b] if buf is None else buf[:b - a],
-                     first_row=a)
+                     first_row=a, normals=normals)
             x.setflags(write=False)
             return job(a, x)
+        except BaseException:
+            with failed_lock:
+                failed_at = min(failed_at, a)
+            raise
         finally:
-            if buf is not None:
-                buffers.put(buf)
+            buffers.put((buf, normals))
 
     with _cpu_pool(len(ends)) as pool:
         yield from pool.map(run, starts, ends)

@@ -6,12 +6,15 @@ so the fast implementations in ridgerec can be compared against these on
 small inputs.  Slice membership scans closed intervals in order, which
 sends boundary ties to the lower slice.  :func:`standardized_set` is
 the one way the tests declare rows whitened already.
+:func:`equal_count_by_argsort` is the equal-count partition made the
+older way, through the argsort of the responses.
 """
 
 import numpy as np
 
 from ridgerec.core import SampleSet, Standardizer
 from ridgerec.measures import standardize
+from ridgerec.slicing import SlicePartition
 
 
 def standardized_set(x, y):
@@ -39,6 +42,42 @@ def slice_membership(outputs, boundaries):
         else:
             raise ValueError(f"response {y} outside all slices")
     return members
+
+
+def equal_count_by_argsort(outputs, n_slices):
+    """The equal-count partition cut from the argsort of the responses.
+
+    The same cuts, tie-run moves and midpoints as
+    :func:`ridgerec.slicing.partition_equal_count`, but the sorted
+    responses are gathered through the permutation, and each block of the
+    sorted order gets its slice label by a scatter through it.
+    """
+    y = np.asarray(outputs, dtype=float).ravel()
+    n = y.size
+    order = np.argsort(y)
+    ys = y[order]
+    cuts = []
+    prev = 0
+    for k in range(1, n_slices):
+        c = (k * n) // n_slices
+        if c <= prev:
+            continue
+        if ys[c - 1] == ys[c]:
+            run_start = int(np.searchsorted(ys, ys[c], side="left"))
+            run_end = int(np.searchsorted(ys, ys[c], side="right"))
+            c = run_start if run_start > prev else run_end
+        if c <= prev or c >= n:
+            continue
+        cuts.append(c)
+        prev = c
+    cuts = np.array(cuts, dtype=np.intp)
+    mids = (ys[cuts - 1] + ys[cuts]) / 2.0
+    mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
+    boundaries = np.concatenate(([ys[0]], mids, [ys[-1]]))
+    labels = np.empty(n, dtype=np.min_scalar_type(len(cuts)))
+    labels[order] = np.repeat(np.arange(len(cuts) + 1, dtype=labels.dtype),
+                              np.diff(cuts, prepend=0, append=n))
+    return SlicePartition(boundaries=boundaries, labels=labels, scheme="equal-count")
 
 
 def slice_mean(inputs, indices):

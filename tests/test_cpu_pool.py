@@ -10,6 +10,7 @@ open a pool inside a pool thread.
 import functools
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -187,15 +188,34 @@ def test_chunk_jobs_see_one_draw_and_yield_in_row_order(monkeypatch, cpus, n, si
 @pytest.mark.parametrize("count", [1, 2])
 def test_a_failed_chunk_job_stops_the_stream(monkeypatch, cpus, count):
     """The error reaches the caller once no pool thread is left, after the results of
-    the chunks before it; on one CPU no later chunk starts."""
+    the chunks before it; no chunk is drawn once a job has failed.
+
+    On two CPUs chunk 3's job fails once chunk 4's draw has started, and
+    that draw waits for the failure, so the thread freed by the failure
+    would draw chunk 5 next.
+    """
     monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
     cpus(count)
     threads = threading.active_count()
-    started, results = [], []
+    started, results, drawn = [], [], []
+    fourth, failing = threading.Event(), threading.Event()
+
+    def tracked_draw(measure, n, seed, first_row, **kwargs):
+        drawn.append(first_row)
+        if first_row == 400:
+            fourth.set()
+            failing.wait(10)
+            time.sleep(0.05)  # the stream records the failure before this thread takes more
+        return draw(measure, n, seed, first_row=first_row, **kwargs)
+
+    monkeypatch.setattr(testfns, "draw", tracked_draw)
 
     def job(a, x):
         started.append(a)
         if a == 300:
+            if count == 2:
+                fourth.wait(10)
+            failing.set()
             raise RuntimeError("chunk 3")
         return a
 
@@ -204,8 +224,29 @@ def test_a_failed_chunk_job_stops_the_stream(monkeypatch, cpus, count):
             results.append(a)
     assert results == [0, 100, 200]
     assert threading.active_count() == threads
+    assert sorted(drawn) == [0, 100, 200, 300, 400][:count + 3]
     if count == 1:
         assert started == [0, 100, 200, 300]
+
+
+def test_the_first_failed_chunk_is_raised_after_every_chunk_before_it(monkeypatch, cpus):
+    """With chunks failing on many threads, no chunk before the first failed one is
+    skipped, and its error is the one raised."""
+    monkeypatch.setattr(measures, "CHUNK_ROWS", 100)
+    cpus(8)
+
+    def job(a, x):
+        if a >= 1_000:
+            raise RuntimeError(f"chunk {a // 100}")
+        return a
+
+    with frequent_switches():
+        for _ in range(20):
+            results = []
+            with pytest.raises(RuntimeError, match="chunk 10$"):
+                for a in testfns.stream_chunks(InputMeasure.standard_gaussian(2), 3_000, 1, job):
+                    results.append(a)
+            assert results == list(range(0, 1_000, 100))
 
 
 @pytest.mark.usefixtures("small_work_on_the_pool")

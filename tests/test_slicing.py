@@ -1,5 +1,6 @@
 """Response-range partitioning and per-slice statistics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,8 @@ from ridgerec.slicing import (
     slice_stats,
 )
 
-from oracles import slice_covariance, slice_mean, slice_membership, standardized_set
+from oracles import (equal_count_by_argsort, slice_covariance, slice_mean, slice_membership,
+                     standardized_set)
 
 
 def members(partition):
@@ -350,6 +352,98 @@ def test_equal_count_balanced_without_ties(case):
     y, r = case
     counts = partition_equal_count(y, r).counts
     assert counts.max() - counts.min() <= 1
+
+
+@st.composite
+def cut_stress_responses(draw):
+    """Up to a few thousand responses that stress the cuts, and R <= N.
+
+    Integer levels put tie runs across the cuts; 0.0 and -0.0 mix, alone
+    or with 1.0 or -1.0; neighbouring doubles sit a few ulps apart, at
+    magnitudes from 1e-300 to 1e300 and among the subnormals around
+    zero; magnitudes spread over 1e-300 to 1e300; a response may be
+    constant.  R is N, up to 60, or past 256 (uint16 labels).
+    """
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["levels", "signed zeros", "ulps", "subnormals", "magnitudes",
+                                 "constant"]))
+    if kind == "levels":
+        y = rng.integers(-3, draw(st.integers(-2, 30)), n).astype(float)
+    elif kind == "signed zeros":
+        y = rng.choice([0.0, -0.0, draw(st.sampled_from([1.0, -1.0, 0.0]))], n)
+    elif kind == "ulps":
+        base = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-300, 300))
+        y = base + rng.integers(0, 6, n) * np.spacing(base)
+    elif kind == "subnormals":
+        y = rng.integers(-3, 4, n) * np.nextafter(0.0, 1.0)
+    elif kind == "magnitudes":
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    else:
+        y = np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    r = draw(st.one_of(st.just(n), st.integers(1, min(n, 60)),
+                       st.integers(min(n, 257), min(n, 300))))
+    return y, r
+
+
+@given(case=cut_stress_responses())
+def test_equal_count_equals_the_argsort_reference_byte_for_byte(case):
+    """The value sort and the labelling give the argsort partition's bytes.
+
+    Neither sort fixes which of 0.0 and -0.0 comes first, so an end
+    boundary at zero may take either sign when the responses hold both.
+    """
+    y, r = case
+    p, ref = partition_equal_count(y, r), equal_count_by_argsort(y, r)
+    assert p.labels.dtype == ref.labels.dtype
+    assert p.labels.tobytes() == ref.labels.tobytes()
+    assert p.boundaries[1:-1].tobytes() == ref.boundaries[1:-1].tobytes()
+    np.testing.assert_array_equal(p.boundaries, ref.boundaries)  # as values: -0.0 == 0.0
+    zeros = np.signbit(y[y == 0])
+    if zeros.all() or not zeros.any():
+        assert p.boundaries.tobytes() == ref.boundaries.tobytes()
+
+
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+@given(case=cut_stress_responses(), probes=st.lists(st.floats(allow_nan=False), max_size=50))
+def test_labelling_counts_the_inner_boundaries_below(partition, case, probes):
+    """The labels are ``searchsorted(side="left")`` over the inner boundaries, for the
+    responses and for values between and on the boundaries."""
+    y, r = case
+    try:
+        b = partition(y, r).boundaries
+    except SliceRuleError:  # a range too wide for fixed-width slices
+        b = np.array([y.min(), y.max()])
+    for values in (y, np.concatenate((b, probes))):
+        labels = slicing._slice_of(values, b)
+        assert labels.dtype == np.min_scalar_type(len(b) - 2)
+        np.testing.assert_array_equal(labels, np.searchsorted(b[1:-1], values, side="left"))
+
+
+def test_equal_count_allocates_no_index_array():
+    """numpy reports its buffers to tracemalloc: the sorted copy is N doubles and the
+    labels N bytes; a permutation of the responses would add N intp.  The labels span
+    several blocks, the last one short."""
+    n = 200_000
+    y = np.random.default_rng(5).standard_normal(n)
+    tracemalloc.start()
+    try:
+        p = partition_equal_count(y, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (8 + 1) + (1 << 20)
+    assert n % slicing.BLOCK_ROWS and n > 2 * slicing.BLOCK_ROWS
+    np.testing.assert_array_equal(p.labels, np.searchsorted(p.boundaries[1:-1], y))
+
+
+def test_a_response_outside_its_slice_in_the_last_block_is_refused():
+    n = 2 * slicing.BLOCK_ROWS + 3
+    y = np.arange(n, dtype=float)
+    p = partition_equal_count(y, 4)
+    s = standardized_set(np.ones((n, 1)), np.concatenate((y[:-1], [-1.0])))
+    with pytest.raises(ValueError, match="responses out of slice"):
+        slice_stats(s, p)
 
 
 class TestDefaultSliceCount:
