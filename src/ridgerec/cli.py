@@ -252,7 +252,7 @@ def _write_csv(path: Path, header: list, *columns) -> None:
     about ``CSV_BLOCK_VALUES`` values are stacked and formatted
     (:func:`_csv_text`) in turn, on the calling thread, into one set of
     buffers, and each block's text goes to the file before the next is
-    made.  A CSV pays no pool (:func:`~ridgerec.core._cpu_pool`): each
+    made.  A CSV pays no pool (:func:`~ridgerec.core._cpu_map`): each
     array operation of a block is too short for two threads to share the
     interpreter lock, and two blocks at once wrote slower than one.
     """

@@ -4,10 +4,8 @@ All containers, here and in the other modules, are frozen dataclasses
 holding read-only numpy arrays, so instances can be shared freely across
 threads, as :func:`ridgerec.experiments.run_convergence` shares the
 truth spectrum and the model across its trial threads.
-:func:`_cpu_pool` is the one thread pool: one thread per CPU the process
-may use, or none, with the jobs run on the calling thread, for a single
-job, inside a pool thread, where pools would nest, and where one CPU is
-all there is.
+:func:`_cpu_map` runs all pool work: it alone decides how many threads
+run, which scratch buffer each job gets, and how a failure stops the rest.
 :data:`_one_blas_thread` holds OpenBLAS at one thread while a call that
 does m^3 or N m^2 linear algebra runs, so its bits do not depend on the
 CPU count; the slice work that OpenBLAS would have threaded runs on the
@@ -24,13 +22,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import queue
 import threading
 import uuid
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,7 +61,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: ``in_pool`` is set on the threads of a :func:`_cpu_pool`.
+#: ``in_pool`` is set on the threads that :func:`_cpu_map` starts.
 _thread_role = threading.local()
 
 
@@ -72,7 +70,7 @@ def _enter_pool_thread() -> None:
 
 
 def _pool_width() -> int:
-    """The most threads a :func:`_cpu_pool` opened on this thread may run.
+    """The most threads a :func:`_cpu_map` on this thread may run.
 
     One inside a pool thread, where a pool of its own would nest, and
     otherwise one per available CPU.
@@ -80,40 +78,50 @@ def _pool_width() -> int:
     return 1 if getattr(_thread_role, "in_pool", False) else _available_cpus()
 
 
-class _InlineExecutor(Executor):
-    """Runs each job on the calling thread as it is submitted; starts no thread."""
+def _cpu_map(fn: Callable, jobs: Sequence, threads: int = 0,
+             scratch: Optional[Callable] = None) -> Iterator:
+    """Yield ``fn(job, buffer)`` for each of ``jobs``, in job order, from the CPU pool.
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def map(self, fn, *iterables):
-        """Run each job as its result is read, so a failed job leaves the rest unstarted."""
-        return map(fn, *iterables)
-
-
-@contextmanager
-def _cpu_pool(jobs: int):
-    """A thread pool for ``jobs`` jobs, one thread per available CPU, shut down on leaving.
-
-    Where fewer than two jobs could run at once -- one job, a pool
-    thread (:func:`_pool_width`) or one CPU -- the pool is an executor
-    that runs each job on the calling thread, so pools never nest and
-    ``taskset -c 0`` starts no thread.  Leaving cancels the jobs not yet
-    started and waits for the running ones, so an error or an interrupt
-    propagates only once no pool thread is left.
+    The pool has one thread per available CPU (:func:`_pool_width`),
+    and no more than there are jobs, nor than ``threads`` when that is
+    positive.  Below two threads -- one job, one CPU, or a pool thread,
+    where pools would nest -- each job runs on the calling thread as its
+    result is read, so ``taskset -c 0`` starts no thread.  Each thread
+    has one ``buffer``, made by ``scratch()`` (None without it) on the
+    calling thread, since buffers made on pool threads stay in their
+    malloc arenas and raise the peak RSS; no two running jobs hold the
+    same one.  No job starts before the first result is read.  A failed
+    job, or closing the iterator, stops the map: no job past a failed
+    one starts once the failure is seen, the jobs not yet started are
+    cancelled, and the error is raised, or the close returns, once no
+    pool thread is left.
     """
-    width = min(jobs, _pool_width())
+    width = min(len(jobs), _pool_width(), threads if threads > 0 else len(jobs))
+    buffers = queue.SimpleQueue()
+    for _ in range(width):
+        buffers.put(scratch() if scratch else None)
+    failed_at, failed_lock = len(jobs), threading.Lock()  # the earliest failed job
+
+    def run(i: int, job):
+        nonlocal failed_at
+        if i > failed_at:
+            return None  # never read: the failed job's error is raised first
+        buffer = buffers.get()
+        try:
+            return fn(job, buffer)
+        except BaseException:
+            with failed_lock:
+                failed_at = min(failed_at, i)
+            raise
+        finally:
+            buffers.put(buffer)
+
     if width < 2:
-        yield _InlineExecutor()
+        yield from map(run, range(len(jobs)), jobs)
         return
     pool = ThreadPoolExecutor(max_workers=width, initializer=_enter_pool_thread)
     try:
-        yield pool
+        yield from pool.map(run, range(len(jobs)), jobs)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -129,7 +137,7 @@ ROW_COPY_BLOCKS_PER_THREAD = 4
 
 def _freeze_rows(a: np.ndarray) -> np.ndarray:
     """:func:`_freeze` for sample rows: a float64 copy of ``ROW_COPY_MIN_VALUES`` or more
-    values is made in row blocks on the CPU pool (:func:`_cpu_pool`).
+    values is made in row blocks on the CPU pool (:func:`_cpu_map`).
 
     The copy has the memory layout that :func:`_freeze` would give it,
     and a copy holds the same bytes whichever thread makes it.
@@ -140,11 +148,10 @@ def _freeze_rows(a: np.ndarray) -> np.ndarray:
     cuts = np.linspace(0, len(a), ROW_COPY_BLOCKS_PER_THREAD * _pool_width() + 1).astype(int)
     blocks = [slice(b, e) for b, e in zip(cuts[:-1], cuts[1:]) if e > b]
 
-    def copy(rows: slice) -> None:
+    def copy(rows: slice, _) -> None:
         out[rows] = a[rows]
 
-    with _cpu_pool(len(blocks)) as pool:
-        list(pool.map(copy, blocks))
+    list(_cpu_map(copy, blocks))
     out.setflags(write=False)
     return out
 

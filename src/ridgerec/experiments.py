@@ -35,7 +35,7 @@ from ridgerec.core import (
     SdrEstimate,
     Subspace,
     SymmetricSpectrum,
-    _cpu_pool,
+    _cpu_map,
     _freeze,
     _one_blas_thread,
     write_atomic,
@@ -259,23 +259,22 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
     """Run the full study: per-size trials against the truth surrogate.
 
     The surrogate is loaded or built first.  The (size, trial) jobs then
-    run on a thread pool with one thread per CPU the process may use
-    (``taskset`` limits them); numpy releases the GIL in the draw and the
-    linear algebra.  A trial's own draw and estimate run on its pool
-    thread, which opens no pool of its own
-    (:func:`~ridgerec.core._cpu_pool`), so no more threads than CPUs work
-    at once.  Trial seeds derive from (master seed, size index, trial
-    index), so trials are independent, and records come back in (size,
-    trial) order, so the study is byte-identical at any CPU count.
-    Any trial failure, or an interrupt, cancels the trials not yet
-    started and propagates once the running ones end; no record is
-    silently skipped and no thread outlives the call.
+    run on the CPU pool (:func:`~ridgerec.core._cpu_map`); numpy releases
+    the GIL in the draw and the linear algebra.  A trial's own draw and
+    estimate run on its pool thread, which opens no pool of its own, so
+    no more threads than CPUs work at once.  Trial seeds derive from
+    (master seed, size index, trial index), so trials are independent,
+    and records come back in (size, trial) order, so the study is
+    byte-identical at any CPU count.  Any trial failure, or an interrupt,
+    stops the trials not yet started and propagates once the running
+    ones end; no record is silently skipped and no thread outlives the
+    call.
     """
     truth = truth_surrogate(cfg, cache_dir)
     truth_sub = Subspace(truth.eigenvectors[:, : cfg.n_components])
     fn = get_test_function(cfg.function)
 
-    def run_trial(job: tuple) -> TrialRecord:
+    def run_trial(job: tuple, _) -> TrialRecord:
         size_index, trial = job
         n = cfg.sizes[size_index]
         s = generate_samples(fn, n, derive_seed(cfg.seed, size_index, trial))
@@ -289,8 +288,7 @@ def run_convergence(cfg: StudyConfig, cache_dir: Path) -> ConvergenceStudy:
         )
 
     jobs = list(itertools.product(range(len(cfg.sizes)), range(cfg.trials)))
-    with _cpu_pool(len(jobs)) as pool:
-        records = tuple(pool.map(run_trial, jobs))
+    records = tuple(_cpu_map(run_trial, jobs))
     return ConvergenceStudy(config=cfg, records=records, truth=truth)
 
 

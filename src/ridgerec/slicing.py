@@ -33,14 +33,12 @@ in one slice with boundaries [y, y], which the partition reports as
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ridgerec.core import (SampleSet, Standardizer, _cpu_pool, _freeze, _one_blas_thread,
-                           _pool_width)
+from ridgerec.core import SampleSet, Standardizer, _cpu_map, _freeze, _one_blas_thread
 
 SCHEMES = ("fixed", "equal-count")
 
@@ -241,7 +239,7 @@ def partition_fixed(outputs, n_slices: int) -> SlicePartition:
     y = _as_response_vector(outputs)
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    lo, hi = y.min(), y.max()
+    lo, hi = y.min() + 0.0, y.max() + 0.0  # -0.0 + 0.0 is 0.0, whichever zero is met first
     with np.errstate(over="ignore"):
         width = hi - lo
     if not np.isfinite(width):
@@ -300,7 +298,8 @@ def partition_equal_count(outputs, n_slices: int) -> SlicePartition:
     # which would then belong to the lower slice; cut at the lower value.
     mids = (ys[cuts - 1] + ys[cuts]) / 2.0
     mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
-    boundaries = np.concatenate(([ys[0]], mids, [ys[-1]]))
+    # Adding 0.0 turns -0.0 into 0.0, so the ends do not depend on which zero sorts first.
+    boundaries = np.concatenate(([ys[0] + 0.0], mids, [ys[-1] + 0.0]))
     # The sorted copy goes before the labels are made: a large estimate's peak memory is set here.
     del ys
     return SlicePartition(boundaries=boundaries, labels=_slice_of(y, boundaries),
@@ -328,19 +327,17 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     OpenBLAS is held at one thread throughout
     (:data:`~ridgerec.core._one_blas_thread`).  When the rows hold at
     least ``FAN_OUT_MIN_VALUES`` values (and, where OpenBLAS cannot be
-    held, are at most ``FAN_OUT_MAX_WIDTH`` wide), one worker per pool thread
-    (:func:`~ridgerec.core._cpu_pool`) takes the slices in order, each
-    slice going to the first free worker; otherwise one worker on the
-    calling thread takes them all.  Taking slices as workers free up,
-    rather than a fixed half each, keeps a CPU that another process slows
-    from holding up the rest: with a busy loop on one of two CPUs, the
-    slice moments at N = 10^6, m = 10 took 68-70 ms at best, against
-    75-90 ms for fixed halves and 81-88 ms on one thread.  Each worker
-    gathers its slices one at a time into one buffer that the calling
-    thread allocates: buffers allocated on pool threads stay in those
-    threads' malloc arenas and raise the peak RSS.  The per-slice
-    arithmetic does not depend on the worker, so neither do the bits of
-    the result.
+    held, are at most ``FAN_OUT_MAX_WIDTH`` wide), each slice is a job of
+    :func:`~ridgerec.core._cpu_map`, taken by the first free pool thread,
+    with no more threads than the largest slice fits into the rows;
+    otherwise the slices run in order on the calling thread.  Taking
+    slices as threads free up, rather than a fixed half each, keeps a CPU
+    that another process slows from holding up the rest: with a busy loop
+    on one of two CPUs, the slice moments at N = 10^6, m = 10 took
+    68-70 ms at best, against 75-90 ms for fixed halves and 81-88 ms on
+    one thread.  A slice is gathered into its thread's scratch buffer,
+    as large as the largest slice.  The per-slice arithmetic does not
+    depend on the thread, so neither do the bits of the result.
 
     The gather clips out-of-range indices instead of refusing them,
     because a checked gather into a given buffer copies through a buffer
@@ -372,31 +369,23 @@ def slice_moments(rows: np.ndarray, responses: np.ndarray, labels: np.ndarray,
     means = np.zeros((n_slices, m))
     scatter = np.zeros((n_slices, m, m))
     big = counts.max()
-    todo, lock = iter(range(n_slices)), threading.Lock()
 
-    def moments(buf: np.ndarray) -> None:
-        while True:
-            with lock:
-                r = next(todo, None)
-            if r is None:
-                return
-            c = counts[r]
-            if c == 0:
-                continue
-            xs = np.take(rows, order[offsets[r]:offsets[r + 1]], axis=0, out=buf[:c],
-                         mode="clip")
-            means[r] = xs.mean(axis=0)
-            if c > 1:
-                xs -= means[r]
-                scatter[r] = xs.T @ xs
+    def moments(r: int, buf: np.ndarray) -> None:
+        c = counts[r]
+        if c == 0:
+            return
+        xs = np.take(rows, order[offsets[r]:offsets[r + 1]], axis=0, out=buf[:c], mode="clip")
+        means[r] = xs.mean(axis=0)
+        if c > 1:
+            xs -= means[r]
+            scatter[r] = xs.T @ xs
 
     with _one_blas_thread as pinned:
         fan_out = (pinned or m <= FAN_OUT_MAX_WIDTH) and len(rows) * m >= FAN_OUT_MIN_VALUES
-        # No more workers than the largest slice fits into the rows, so the
+        # No more threads than the largest slice fits into the rows, so the
         # buffers together hold at most N rows.
-        workers = min(_pool_width(), len(rows) // big) if fan_out else 1
-        with _cpu_pool(workers) as pool:
-            list(pool.map(moments, [np.empty((big, m)) for _ in range(workers)]))
+        list(_cpu_map(moments, range(n_slices), threads=len(rows) // big if fan_out else 1,
+                      scratch=lambda: np.empty((big, m))))
     return counts, means, scatter
 
 
@@ -407,21 +396,19 @@ def map_slices(f, stack: np.ndarray) -> np.ndarray:
     such as ``lambda a: W @ a @ W.T``, so ``f(stack)`` and ``f`` of each
     slice give the same bits.  OpenBLAS is held at one thread
     (:data:`~ridgerec.core._one_blas_thread`), and when it is and R m^3
-    is at least ``PRODUCT_FAN_OUT_MIN``, each slice is taken by the first
-    free pool thread (:func:`~ridgerec.core._cpu_pool`); otherwise
-    ``f(stack)`` runs here.
+    is at least ``PRODUCT_FAN_OUT_MIN``, each slice is a job of
+    :func:`~ridgerec.core._cpu_map`; otherwise ``f(stack)`` runs here.
     """
     n_slices, m = stack.shape[:2]
     with _one_blas_thread as pinned:
-        if not pinned or _pool_width() < 2 or n_slices * m**3 < PRODUCT_FAN_OUT_MIN:
+        if not pinned or n_slices * m**3 < PRODUCT_FAN_OUT_MIN:
             return f(stack)
         out = np.empty_like(stack)
 
-        def one(r: int) -> None:
+        def one(r: int, _) -> None:
             out[r] = f(stack[r])
 
-        with _cpu_pool(n_slices) as pool:
-            list(pool.map(one, range(n_slices)))
+        list(_cpu_map(one, range(n_slices)))
     return out
 
 

@@ -25,15 +25,13 @@ numbers are reproducible.
 from __future__ import annotations
 
 import functools
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from ridgerec import measures
-from ridgerec.core import SampleSet, Subspace, _cpu_pool, _one_blas_thread, _pool_width
+from ridgerec.core import SampleSet, Subspace, _cpu_map, _one_blas_thread
 from ridgerec.measures import (
     InputMeasure,
     Standardizer,
@@ -246,55 +244,38 @@ def _evaluate_into(evaluator: Callable, x: np.ndarray, out: np.ndarray) -> None:
 def stream_chunks(measure: InputMeasure, n: int, seed: int, job: Callable,
                   rows: Optional[np.ndarray] = None) -> Iterator:
     """Draw the ``n`` rows of ``measure`` with ``seed`` in chunks, run ``job`` on each
-    chunk on the CPU pool, and yield the results in row order.
+    chunk on the CPU pool (:func:`~ridgerec.core._cpu_map`), and yield the
+    results in row order.
 
     The chunks are the draw's blocks (:func:`~ridgerec.measures.draw`),
     ``CHUNK_ROWS`` rows each, and the last also takes the remainder: numpy
     would take a one-row remainder through another BLAS routine, which
-    rounds otherwise.  A pool thread (:func:`~ridgerec.core._cpu_pool`)
-    draws a chunk from its blocks' streams and runs ``job(a, x)`` on it,
-    with ``a`` the chunk's first row index and ``x`` the chunk, read-only;
-    the chunks run on any thread, in any order, and draw the same bytes
-    everywhere.  A chunk is drawn into ``rows`` when it is given, an
-    (n, m) array, and otherwise into one of the buffers, one per pool
-    thread, that the calling thread allocates, as are the Gaussian
-    normals' buffers (:func:`~ridgerec.measures.draw`).  No job starts
-    before the first result is read; inside a pool thread each runs, on
-    that thread, as its result is read.  A failed job, or closing the
-    iterator, stops the stream: a chunk past a failed one is not drawn
-    if it has not started, the jobs not yet started are cancelled, and
-    the error is raised, or the close returns, once no pool thread is
-    left.
+    rounds otherwise.  Each chunk's job draws it from its blocks' streams
+    and runs ``job(a, x)`` on it, with ``a`` the chunk's first row index
+    and ``x`` the chunk, read-only; the chunks run on any thread, in any
+    order, and draw the same bytes everywhere.  A chunk is drawn into
+    ``rows`` when it is given, an (n, m) array, and otherwise into its
+    thread's scratch buffer, as are the Gaussian normals
+    (:func:`~ridgerec.measures.draw`).  A failed job, or closing the
+    iterator, stops the stream as it stops any pool map: no chunk past a
+    failed one is drawn once the failure is seen.
     """
     starts = range(0, max(n - measures.CHUNK_ROWS, 0) + 1, measures.CHUNK_ROWS)
-    ends = [*starts[1:], n]
+    chunks = list(zip(starts, [*starts[1:], n]))
     m = measure.dimension
-    buffers = queue.SimpleQueue()  # no more jobs run at once than there are threads
-    for _ in range(min(len(ends), _pool_width())):
-        buf = np.empty((n - starts[-1], m)) if rows is None else None  # the largest chunk
-        normals = np.empty((min(n, measures.CHUNK_ROWS), m)) if measure.kind == "gaussian" else None
-        buffers.put((buf, normals))
-    failed_at, failed_lock = n, threading.Lock()  # the first row of the earliest failed chunk
 
-    def run(a: int, b: int):
-        nonlocal failed_at
-        if a > failed_at:
-            return None  # never read: the failed chunk's error is raised first
-        buf, normals = buffers.get()
-        try:
-            x = draw(measure, b - a, seed, out=rows[a:b] if buf is None else buf[:b - a],
-                     first_row=a, normals=normals)
-            x.setflags(write=False)
-            return job(a, x)
-        except BaseException:
-            with failed_lock:
-                failed_at = min(failed_at, a)
-            raise
-        finally:
-            buffers.put((buf, normals))
+    def scratch():
+        return (np.empty((n - starts[-1], m)) if rows is None else None,  # the largest chunk
+                np.empty((min(n, measures.CHUNK_ROWS), m)) if measure.kind == "gaussian" else None)
 
-    with _cpu_pool(len(ends)) as pool:
-        yield from pool.map(run, starts, ends)
+    def run(chunk: tuple, buffers: tuple):
+        (a, b), (buf, normals) = chunk, buffers
+        x = draw(measure, b - a, seed, out=rows[a:b] if buf is None else buf[:b - a],
+                 first_row=a, normals=normals)
+        x.setflags(write=False)
+        return job(a, x)
+
+    return _cpu_map(run, chunks, scratch=scratch)
 
 
 @_one_blas_thread

@@ -73,7 +73,7 @@ def equal_count_by_argsort(outputs, n_slices):
     cuts = np.array(cuts, dtype=np.intp)
     mids = (ys[cuts - 1] + ys[cuts]) / 2.0
     mids = np.where(mids < ys[cuts], mids, ys[cuts - 1])
-    boundaries = np.concatenate(([ys[0]], mids, [ys[-1]]))
+    boundaries = np.concatenate(([ys[0] + 0.0], mids, [ys[-1] + 0.0]))
     labels = np.empty(n, dtype=np.min_scalar_type(len(cuts)))
     labels[order] = np.repeat(np.arange(len(cuts) + 1, dtype=labels.dtype),
                               np.diff(cuts, prepend=0, append=n))

@@ -156,13 +156,13 @@ def test_without_a_thread_call_nothing_is_held_and_wide_rows_take_one_worker(mon
     monkeypatch.setattr(slicing, "PRODUCT_FAN_OUT_MIN", 0)
     cpus(2)
     widths = []
-    pool = slicing._cpu_pool
+    cpu_map = slicing._cpu_map
 
-    def counted(jobs):
-        widths.append(jobs)
-        return pool(jobs)
+    def counted(fn, jobs, threads=0, scratch=None):
+        widths.append(threads)
+        return cpu_map(fn, jobs, threads, scratch)
 
-    monkeypatch.setattr(slicing, "_cpu_pool", counted)
+    monkeypatch.setattr(slicing, "_cpu_map", counted)
     with _one_blas_thread as pinned:
         assert not pinned
     rows = np.random.default_rng(2).standard_normal((400, 80))

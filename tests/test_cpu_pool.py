@@ -1,10 +1,10 @@
 """The CPU pool and the work inside one estimate that runs on it.
 
-``stream_chunks`` draws and runs a job on each chunk on a pool thread,
-for ``generate_samples`` and both passes of a truth surrogate, and
-``slice_moments`` fans groups of slices out over the pool.  Neither may
-change a bit of the result at any CPU count, leave a thread behind, or
-open a pool inside a pool thread.
+``_cpu_map`` runs all pool work.  ``stream_chunks`` draws and runs a job
+on each chunk on a pool thread, for ``generate_samples`` and both passes
+of a truth surrogate, and ``slice_moments`` takes each slice on the
+first free pool thread.  Neither may change a bit of the result at any
+CPU count, leave a thread behind, or open a pool inside a pool thread.
 """
 
 import functools
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ridgerec import core, experiments, measures, slicing, testfns
-from ridgerec.core import Subspace, _cpu_pool
+from ridgerec.core import Subspace, _cpu_map
 from ridgerec.estimators import estimate
 from ridgerec.experiments import StudyConfig, run_convergence, truth_surrogate
 from ridgerec.measures import InputMeasure, draw
@@ -282,41 +282,99 @@ def test_a_study_runs_one_pool_at_a_time(tmp_path, monkeypatch, cpus, count):
     assert threading.active_count() == threads
 
 
-class TestCpuPool:
-    @pytest.mark.parametrize("count, jobs", [(1, 5), (4, 1)])
-    def test_one_cpu_or_one_job_runs_on_the_caller(self, cpus, count, jobs):
-        cpus(count)
-        caller = threading.get_ident()
-        with _cpu_pool(jobs) as pool:
-            assert pool.submit(threading.get_ident).result() == caller
-            assert set(pool.map(lambda _: threading.get_ident(), range(jobs))) == {caller}
+def on_caller(_, __) -> int:
+    return threading.get_ident()
 
-    def test_a_pool_thread_runs_its_own_pool_inline(self, cpus):
+
+class TestCpuMap:
+    @pytest.mark.parametrize("count, jobs, threads", [(1, 5, 0), (4, 1, 0), (4, 5, 1)])
+    def test_one_cpu_one_job_or_one_thread_runs_on_the_caller(self, cpus, count, jobs, threads):
+        cpus(count)
+        assert list(_cpu_map(on_caller, range(jobs), threads)) == [threading.get_ident()] * jobs
+
+    def test_a_pool_thread_runs_its_own_map_inline(self, cpus):
         cpus(4)
 
-        def nested(_):
-            outer = threading.get_ident()
-            with _cpu_pool(4) as pool:
-                return outer, set(pool.map(lambda _: threading.get_ident(), range(4)))
+        def nested(_, __):
+            return threading.get_ident(), set(_cpu_map(on_caller, range(4)))
 
-        with _cpu_pool(2) as pool:
-            for outer, inner in pool.map(nested, range(2)):
-                assert outer != threading.get_ident()
-                assert inner == {outer}
+        for outer, inner in _cpu_map(nested, range(2)):
+            assert outer != threading.get_ident()
+            assert inner == {outer}
 
-    def test_inline_errors_reach_the_future(self, cpus):
+    def test_an_inline_error_reaches_the_caller_after_the_results_before_it(self, cpus):
         cpus(1)
-        with _cpu_pool(2) as pool:
-            future = pool.submit(int, "not a number")
-        with pytest.raises(ValueError):
-            future.result()
+        started, results = [], []
 
-    def test_no_thread_outlives_the_block(self, cpus):
+        def parse(text, _):
+            started.append(text)
+            return int(text)
+
+        with pytest.raises(ValueError):
+            for value in _cpu_map(parse, ["1", "2", "three", "4"]):
+                results.append(value)
+        assert results == [1, 2]
+        assert started == ["1", "2", "three"]
+
+    def test_no_thread_outlives_the_call(self, cpus):
         cpus(3)
         threads = threading.active_count()
-        with _cpu_pool(3) as pool:
-            list(pool.map(abs, range(10)))
+        assert list(_cpu_map(lambda job, _: abs(job), range(-5, 5))) == [5, 4, 3, 2, 1, 0, 1, 2, 3, 4]
         assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_consumer_that_closes_after_the_first_result(self, cpus):
+        cpus(3)
+        threads = threading.active_count()
+        started = []
+
+        def slow(job, _):
+            started.append(job)
+            time.sleep(0.01)
+            return job
+
+        results = _cpu_map(slow, range(50))
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == threads
+        assert len(started) < 50  # the jobs not yet started were cancelled
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_caps_the_width(self, cpus, threads):
+        cpus(8)
+        base = threading.active_count()
+        together = threading.Barrier(threads)
+
+        def job(j, _):
+            if j < threads:
+                together.wait(10)  # so many jobs run at once, so many threads start
+            return threading.active_count()
+
+        assert set(_cpu_map(job, range(40), threads)) == {base + threads}
+
+    @pytest.mark.parametrize("count", CPU_COUNTS)
+    @pytest.mark.parametrize("jobs, threads", [(0, 0), (1, 0), (5, 0), (30, 0), (30, 2)])
+    def test_scratch_buffers_are_made_here_one_per_thread_and_never_shared(self, cpus, count,
+                                                                            jobs, threads):
+        cpus(count)
+        made, held, lock = [], set(), threading.Lock()
+
+        def scratch():
+            made.append(threading.get_ident())
+            return []
+
+        def job(j, buffer):
+            with lock:
+                assert id(buffer) not in held
+                held.add(id(buffer))
+            buffer.append(j)
+            time.sleep(0)
+            with lock:
+                held.remove(id(buffer))
+            return j
+
+        with frequent_switches():
+            assert list(_cpu_map(job, range(jobs), threads, scratch)) == list(range(jobs))
+        assert made == [threading.get_ident()] * min(jobs, count, threads or jobs)
 
     def test_the_cpu_count_is_the_affinity(self):
         assert core._available_cpus() >= 1

@@ -23,6 +23,10 @@ pass is an option the program never takes.
 Every ``:func:``, ``:data:``, ``:attr:``, ``:class:`` and ``:meth:``
 target in the package's docstrings and doc comments names something that
 exists: a module attribute, a class attribute or a dataclass field.
+
+Only ``core`` runs threads: no other package module imports
+``threading``, ``queue`` or ``concurrent.futures``, or names
+``_pool_width``; pool work goes through ``core._cpu_map``.
 """
 
 import ast
@@ -216,3 +220,30 @@ def test_every_docstring_reference_resolves():
                   if not _resolves(target, importlib.import_module(
                       "ridgerec" if path.stem == "__init__" else f"ridgerec.{path.stem}"))}
     assert sorted(unresolved) == []
+
+
+POOL_MODULES = {"threading", "queue", "concurrent", "concurrent.futures"}
+
+
+def _pool_machinery(tree: ast.Module) -> set:
+    """The thread modules ``tree`` imports and each ``_pool_width`` it names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name in POOL_MODULES)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in POOL_MODULES:
+                found.add(node.module)
+            found.update(alias.name for alias in node.names if alias.name == "_pool_width")
+        elif isinstance(node, ast.Name) and node.id == "_pool_width":
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "_pool_width":
+            found.add(node.attr)
+    return found
+
+
+def test_only_core_runs_threads():
+    outside = {f"{path.stem}: {name}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
+               for name in _pool_machinery(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(outside) == []

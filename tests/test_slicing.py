@@ -329,6 +329,31 @@ def test_permuting_the_responses_permutes_the_labels(partition, case, seed):
     np.testing.assert_array_equal(q.boundaries, p.boundaries)  # -0.0 equals 0.0
 
 
+@st.composite
+def zeros_at_the_ends(draw):
+    """0.0 and -0.0 mixed at the low end, the high end or throughout, and R <= N."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = draw(st.sampled_from([[1.0, 2.5, 7.0], [-1.0, -2.5, -7.0], [], [-1.0, 1.0]]))
+    y = rng.choice([0.0, -0.0], n)
+    if others:
+        moved = rng.random(n) < draw(st.floats(0.0, 0.9))
+        y[moved] = rng.choice(others, moved.sum())
+    return y, draw(st.integers(1, n))
+
+
+@pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
+@given(case=zeros_at_the_ends(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_zeros_at_the_ends_keeps_every_byte(partition, case, seed):
+    """An end boundary at zero is 0.0, whichever zero a sort or a minimum meets first."""
+    y, r = case
+    perm = np.random.default_rng(seed).permutation(len(y))
+    p, q = partition(y, r), partition(y[perm], r)
+    assert q.boundaries.tobytes() == p.boundaries.tobytes()
+    assert q.labels.tobytes() == p.labels[perm].tobytes()
+    assert not np.signbit(p.boundaries[p.boundaries == 0]).any()
+
+
 @pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
 @pytest.mark.parametrize("n_slices, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
 def test_slice_counts_at_the_label_width_edge(partition, n_slices, dtype):
@@ -388,20 +413,12 @@ def cut_stress_responses(draw):
 
 @given(case=cut_stress_responses())
 def test_equal_count_equals_the_argsort_reference_byte_for_byte(case):
-    """The value sort and the labelling give the argsort partition's bytes.
-
-    Neither sort fixes which of 0.0 and -0.0 comes first, so an end
-    boundary at zero may take either sign when the responses hold both.
-    """
+    """The value sort and the labelling give the argsort partition's bytes."""
     y, r = case
     p, ref = partition_equal_count(y, r), equal_count_by_argsort(y, r)
     assert p.labels.dtype == ref.labels.dtype
     assert p.labels.tobytes() == ref.labels.tobytes()
-    assert p.boundaries[1:-1].tobytes() == ref.boundaries[1:-1].tobytes()
-    np.testing.assert_array_equal(p.boundaries, ref.boundaries)  # as values: -0.0 == 0.0
-    zeros = np.signbit(y[y == 0])
-    if zeros.all() or not zeros.any():
-        assert p.boundaries.tobytes() == ref.boundaries.tobytes()
+    assert p.boundaries.tobytes() == ref.boundaries.tobytes()
 
 
 @pytest.mark.parametrize("partition", [partition_fixed, partition_equal_count])
