@@ -63,8 +63,9 @@ from ridgerec.testfns import (
 #: merged each chunk's slice moments in chunk order.  Format 4 cuts the
 #: chunks as ``generate_samples`` does, the last one taking the remainder.
 #: Format 5 draws each block of ``CHUNK_ROWS`` rows from a stream
-#: of its own (:func:`~ridgerec.measures.draw`).
-SURROGATE_FORMAT = 5
+#: of its own (:func:`~ridgerec.measures.draw`).  Format 6 draws each
+#: block from an SFC64 stream seeded by ``SeedSequence`` instead of Philox.
+SURROGATE_FORMAT = 6
 
 
 @dataclass(frozen=True)
@@ -410,14 +411,21 @@ class SummaryPlotData:
 @_one_blas_thread
 def summary_plot_data(s: SampleSet, est: SdrEstimate, dims: int) -> SummaryPlotData:
     """Project the whitened inputs, or a raw set's inputs as they are, onto the first
-    one or two recovered directions."""
+    one or two recovered directions V.
+
+    Under a map z = W (x - mean) other than the identity, the projections are
+    ``(inputs - mean) @ (W' V)``, so the whitened N x m rows are never formed.
+    """
     if dims not in (1, 2):
         raise ValueError("dims must be 1 or 2")
     if dims > est.n_requested:
         raise ValueError("dims exceeds the estimate's requested dimension")
-    W = est.spectrum.eigenvectors[:, :dims]
-    z = s.standardizer.whiten(s.inputs) if s.standardized else s.inputs
-    return SummaryPlotData(projections=z @ W, outputs=s.outputs)
+    V = est.spectrum.eigenvectors[:, :dims]
+    std = s.standardizer
+    if std is None or std.is_identity:
+        return SummaryPlotData(projections=s.inputs @ V, outputs=s.outputs)
+    return SummaryPlotData(projections=(s.inputs - std.mean) @ (std.whitening.T @ V),
+                           outputs=s.outputs)
 
 
 def quadratic_fit_r2(coords: np.ndarray, outputs: np.ndarray) -> float:

@@ -2,11 +2,13 @@
 
 The estimators in this package assume inputs with zero mean and identity
 covariance, so every supported measure comes with an exact standardizer
-built from its analytic moments.  Sampling uses numpy's counter-based
-Philox generator, one stream per block of ``CHUNK_ROWS`` rows: block k
-of a seed's sample comes from ``Philox(key=seed).jumped(k)``, so any
-thread may draw any block, and for a fixed (measure, N, seed) the draw
-is reproducible across platforms and CPU counts.
+built from its analytic moments.  Sampling draws one stream per block
+of ``CHUNK_ROWS`` rows: block k of a seed's sample comes from numpy's
+SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(k,))``, child
+k of the seed's ``SeedSequence``, so any thread may draw any block, and
+for a fixed (measure, N, seed) the draw is reproducible across platforms
+and CPU counts.  :func:`generator`, which draws model coefficients and
+bootstrap indices, stays on the counter-based Philox generator.
 
 Trial seeds for repeated experiments are derived from a master seed with
 :func:`derive_seed`, a splitmix64-based hash, so substreams are decorrelated
@@ -50,14 +52,18 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Counter-based generator for reproducible, platform-stable sampling."""
+    """Counter-based Philox generator for model coefficients and bootstrap indices.
+
+    Samples come from :func:`draw`'s block streams instead.
+    """
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
 #: Rows per block of a sample (:func:`draw`).  Block k of a seed's sample
-#: is drawn from a Philox stream of its own, so this size is part of the
-#: stream's definition: another size gives other samples past its first
-#: block.  Samples are also evaluated in chunks of this many rows
+#: is drawn from an SFC64 stream of its own, seeded by child k of the
+#: seed's ``SeedSequence``, so this size is part of the stream's
+#: definition: another size gives other samples past its first block.
+#: Samples are also evaluated in chunks of this many rows
 #: (:func:`~ridgerec.testfns.stream_chunks`), and a truth surrogate sums
 #: its slice moments in that order, so it is part of the surrogate cache
 #: key.  It is a power of two, so a chunk's rows fall into the blocks of
@@ -130,10 +136,11 @@ def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndar
 
     A seed's sample is drawn in blocks of ``CHUNK_ROWS`` rows: block k,
     from row k ``CHUNK_ROWS`` on, is drawn row-major from a stream of its
-    own, ``Philox(key=seed).jumped(k)``, 2^128 draws from its neighbours.
-    Block 0 is the stream of :func:`generator`.  A draw therefore starts
-    any block by itself, on any thread, so ``first_row`` must be a
-    multiple of ``CHUNK_ROWS``; and a smaller draw is a prefix of a
+    own, ``Generator(SFC64(SeedSequence(seed, spawn_key=(k,))))``.  That
+    seed sequence is child k of ``SeedSequence(seed).spawn(...)``,
+    numpy's idiom for independent parallel streams.  A draw therefore
+    starts any block by itself, on any thread, so ``first_row`` must be
+    a multiple of ``CHUNK_ROWS``; and a smaller draw is a prefix of a
     larger one with the same seed, since only its last block is cut
     short.  ``out``, if given, is a C-contiguous float64 (N, m) array to
     draw into.  A Gaussian measure with a dense covariance draws each
@@ -163,9 +170,10 @@ def draw(measure: InputMeasure, n_samples: int, seed: int, out: Optional[np.ndar
         L = np.linalg.cholesky(measure.cov)
         if normals is None:
             normals = np.empty((min(n_samples, CHUNK_ROWS), m))
-    streams = np.random.Philox(key=seed & _MASK64)
     for a in range(0, n_samples, CHUNK_ROWS):
-        rng = np.random.Generator(streams.jumped((first_row + a) // CHUNK_ROWS))
+        block_seed = np.random.SeedSequence(seed & _MASK64,
+                                            spawn_key=((first_row + a) // CHUNK_ROWS,))
+        rng = np.random.Generator(np.random.SFC64(block_seed))
         block = out[a:a + CHUNK_ROWS]
         if measure.kind == "standard-gaussian":
             rng.standard_normal(out=block)

@@ -314,7 +314,7 @@ class TestEstimateCommands:
         assert run("sir", "--input", str(tmp_path / "samples.csv"), "--assume-standardized",
                    "--slices", "20", "--dim", "2", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "mean of x1 is 318.3 standard errors" in err and "limit 8" in err
+        assert "mean of x1 is 317.5 standard errors" in err and "limit 8" in err
         assert not out.exists()
 
     def test_assume_standardized_refuses_a_moment_that_overflows(self, tmp_path, capsys):

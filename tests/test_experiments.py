@@ -8,13 +8,14 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ridgerec import experiments, measures, testfns
-from ridgerec.core import Standardizer, Subspace
-from ridgerec.estimators import estimate
+from ridgerec.core import SampleSet, Standardizer, Subspace
+from ridgerec.estimators import SliceRuleError, estimate
 from ridgerec.experiments import (
     StudyConfig,
     TrialRecord,
@@ -27,7 +28,7 @@ from ridgerec.experiments import (
     summary_plot_data,
     truth_surrogate,
 )
-from ridgerec.measures import derive_seed
+from ridgerec.measures import InputMeasure, derive_seed, draw, fit_standardizer, standardize
 from ridgerec.spectral import decompose, subspace_distance
 from ridgerec.testfns import generate_samples, get_test_function
 
@@ -148,9 +149,9 @@ class TestTruthSurrogate:
         assert second.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
     def test_format_3_file_is_rebuilt(self, tmp_path, monkeypatch, surrogate_builds):
-        """Format 5 draws and merges the chunks otherwise, so a format-3 file is rebuilt,
+        """Format 6 draws and merges the chunks otherwise, so a format-3 file is rebuilt,
         not read."""
-        assert experiments.SURROGATE_FORMAT == 5
+        assert experiments.SURROGATE_FORMAT == 6
         cfg = small_config(function="hartmann", n_components=2)
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "SURROGATE_FORMAT", 3)
@@ -161,6 +162,30 @@ class TestTruthSurrogate:
         assert len(list(tmp_path.glob("truth-*.npz"))) == 2
         truth_surrogate(cfg, tmp_path)
         assert len(surrogate_builds) == 2
+
+    def test_format_5_file_is_a_miss_and_never_opened(self, tmp_path, monkeypatch,
+                                                      surrogate_builds):
+        """Format 5 drew each block from a Philox stream, so its file for the same study
+        holds other samples' spectrum: a new file is written beside it, unread."""
+        cfg = small_config(function="hartmann", n_components=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "SURROGATE_FORMAT", 5)
+            truth_surrogate(cfg, tmp_path)
+        old = only_surrogate(tmp_path)
+        old_bytes = old.read_bytes()
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "open", recording_open, raising=False)
+        truth_surrogate(cfg, tmp_path)
+        assert len(surrogate_builds) == 2
+        (new,) = set(tmp_path.glob("truth-*.npz")) - {old}
+        assert opened == [new]  # looked up once, as a miss, before the build wrote it
+        assert old.read_bytes() == old_bytes
+        assert new.read_bytes() != old_bytes
 
     def test_chunk_size_is_part_of_the_key(self, tmp_path, monkeypatch, surrogate_builds):
         cfg = small_config()
@@ -239,9 +264,15 @@ class TestStreamedSurrogate:
         monkeypatch.setattr(measures, "CHUNK_ROWS", chunk_rows)
         cfg = small_config(function=function, method=method, scheme=scheme,
                            n_components=n_components, n_slices=3, truth_size=5_003)
-        spec = truth_surrogate(cfg, tmp_path)
         whole = generate_samples(get_test_function(function), cfg.truth_size, cfg.truth_seed)
-        ref = estimate(whole, cfg.n_slices, scheme, method, n_components).spectrum
+        try:
+            ref = estimate(whole, cfg.n_slices, scheme, method, n_components).spectrum
+        except SliceRuleError as exc:  # a one-sample SAVE slice: the streamed build refuses too
+            with pytest.raises(SliceRuleError, match=re.escape(str(exc))):
+                truth_surrogate(cfg, tmp_path)
+            assert list(tmp_path.iterdir()) == []
+            return
+        spec = truth_surrogate(cfg, tmp_path)
         if chunk_rows > cfg.truth_size:  # one chunk: the same sums in the same order
             for name in ("matrix", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(spec, name), getattr(ref, name)), name
@@ -574,6 +605,27 @@ class TestSummaryPlot:
         assert one.projections.shape == (120, 1)
         assert two.projections.shape == (120, 2)
         assert one.outputs.shape == (120,)
+
+    @pytest.mark.parametrize("m", [5, 200])
+    def test_projects_through_the_whitening_map(self, m):
+        """Under a dense map the projections agree with whitening the rows and then
+        projecting them, to 1e-12 relative; under the identity map and on a raw set
+        they are the rows' own projections, bit for bit."""
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        measure = InputMeasure.gaussian(rng.standard_normal(m), a @ a.T / m + np.eye(m))
+        std = fit_standardizer(measure)
+        x = draw(measure, 4_000, 9)
+        z = std.whiten(x)
+        y = z[:, 0] ** 2 + z[:, 1]
+        s = standardize(SampleSet(x, y), std)
+        est = estimate(s, 8, "equal-count", "sir", 2)
+        V = est.spectrum.eigenvectors[:, :2]
+        plot = summary_plot_data(s, est, 2).projections
+        slow = z @ V
+        assert np.max(np.abs(plot - slow)) <= 1e-12 * np.max(np.abs(slow))
+        for rows in (SampleSet(z, y), standardize(SampleSet(z, y), Standardizer.identity(m))):
+            assert summary_plot_data(rows, est, 2).projections.tobytes() == (z @ V).tobytes()
 
     def test_dims_capped_by_request(self):
         fn = get_test_function("quad1")
