@@ -1,6 +1,5 @@
 """SIR and SAVE matrices against hand values and brute-force oracles."""
 
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -320,28 +319,21 @@ class TestMomentWhitening:
         rng = generator(derive_seed(30, sorted(PARITY_MEASURES).index(kind)))
         measure = PARITY_MEASURES[kind](rng)
         std = fit_standardizer(measure)
-        x = draw(measure, 4000, seed=derive_seed(31, measure.dimension))
+        # Salt 33: no kind's draw leaves a one-sample fixed-width SAVE slice.
+        x = draw(measure, 4000, seed=derive_seed(33, measure.dimension))
         z = std.whiten(x)
         y = ridge_response(z, derive_seed(32, measure.dimension))
         lazy = standardize(SampleSet(inputs=x, outputs=y), std)
         eager = standardized_set(z, y)
-        compared = 0
         for method in MATRICES:
             for scheme in SCHEMES:
-                try:
-                    b = estimate(eager, 6, scheme, method, 3).spectrum
-                except SliceRuleError as exc:  # a one-sample SAVE slice: both paths refuse
-                    with pytest.raises(SliceRuleError, match=re.escape(str(exc))):
-                        estimate(lazy, 6, scheme, method, 3)
-                    continue
                 a = estimate(lazy, 6, scheme, method, 3).spectrum
-                compared += 1
+                b = estimate(eager, 6, scheme, method, 3).spectrum
                 if std.is_identity:
                     assert a.matrix.tobytes() == b.matrix.tobytes()
                     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
                 scale = max(1.0, np.max(np.abs(b.matrix)))
                 np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12 * scale)
-        assert compared >= len(MATRICES) * len(SCHEMES) - 1
 
     @given(case=sliced_samples(), method=st.sampled_from(sorted(MATRICES)),
            scheme=st.sampled_from(SCHEMES), offset=st.floats(-10, 10))

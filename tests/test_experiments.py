@@ -15,7 +15,7 @@ import pytest
 
 from ridgerec import experiments, measures, testfns
 from ridgerec.core import SampleSet, Standardizer, Subspace
-from ridgerec.estimators import SliceRuleError, estimate
+from ridgerec.estimators import estimate
 from ridgerec.experiments import (
     StudyConfig,
     TrialRecord,
@@ -264,15 +264,9 @@ class TestStreamedSurrogate:
         monkeypatch.setattr(measures, "CHUNK_ROWS", chunk_rows)
         cfg = small_config(function=function, method=method, scheme=scheme,
                            n_components=n_components, n_slices=3, truth_size=5_003)
-        whole = generate_samples(get_test_function(function), cfg.truth_size, cfg.truth_seed)
-        try:
-            ref = estimate(whole, cfg.n_slices, scheme, method, n_components).spectrum
-        except SliceRuleError as exc:  # a one-sample SAVE slice: the streamed build refuses too
-            with pytest.raises(SliceRuleError, match=re.escape(str(exc))):
-                truth_surrogate(cfg, tmp_path)
-            assert list(tmp_path.iterdir()) == []
-            return
         spec = truth_surrogate(cfg, tmp_path)
+        whole = generate_samples(get_test_function(function), cfg.truth_size, cfg.truth_seed)
+        ref = estimate(whole, cfg.n_slices, scheme, method, n_components).spectrum
         if chunk_rows > cfg.truth_size:  # one chunk: the same sums in the same order
             for name in ("matrix", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(spec, name), getattr(ref, name)), name

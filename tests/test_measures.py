@@ -135,20 +135,6 @@ class TestBlockStreams:
             spawned = np.random.Generator(np.random.SFC64(children[k]))
             assert block.tobytes() == spawned.standard_normal((rows, 3)).tobytes()
 
-    def test_blocks_are_uncorrelated(self, monkeypatch):
-        """A seeding slip that gives every block one stream (such as a dropped
-        ``spawn_key``) makes adjacent blocks equal; each adjacent pair's
-        correlation must be within 5/sqrt(n), and the pooled mean and
-        variance within 5 standard errors."""
-        n, blocks = 256, 64
-        monkeypatch.setattr(measures_module, "CHUNK_ROWS", n)
-        x = draw(InputMeasure.standard_gaussian(1), n * blocks, 7).reshape(blocks, n)
-        for k in range(blocks - 1):
-            assert abs(np.corrcoef(x[k], x[k + 1])[0, 1]) < 5 / np.sqrt(n), k
-        total = n * blocks
-        assert abs(x.mean()) < 5 / np.sqrt(total)
-        assert abs(x.var() - 1.0) < 5 * np.sqrt(2 / total)
-
     @pytest.mark.parametrize("first_row", [-50, 1, 49, 51])
     def test_a_draw_off_a_block_boundary_refused(self, monkeypatch, first_row):
         monkeypatch.setattr(measures_module, "CHUNK_ROWS", 50)
